@@ -49,6 +49,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
     scorer = RelatednessScorer(alpha=1.0, schema=context.new_schema, spread_depth=1)
     distance = ItemDistance(class_graph=class_graph(context.new_schema))
+    distances = distance.table(candidates)  # shared by every selection below
 
     lambdas = [0.0, 0.25, 0.5, 0.75, 1.0]
     selectors: Dict[str, object] = {f"mmr l={lam}": lam for lam in lambdas}
@@ -81,11 +82,11 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
     sweep: Dict[float, Dict[str, float]] = {}
     for lam in lambdas:
-        outcome = evaluate(lambda scored, lam=lam: mmr_select(scored, K, distance, lam))
+        outcome = evaluate(lambda scored, lam=lam: mmr_select(scored, K, distances, lam))
         sweep[lam] = outcome
         table.add_row(f"mmr lambda={lam}", outcome["ndcg"], outcome["ild"], outcome["coverage"])
 
-    maxmin = evaluate(lambda scored: max_min_select(scored, K, distance, lam=0.5))
+    maxmin = evaluate(lambda scored: max_min_select(scored, K, distances, lam=0.5))
     table.add_row("max-min lambda=0.5", maxmin["ndcg"], maxmin["ild"], maxmin["coverage"])
     coverage_based = evaluate(lambda scored: coverage_select(scored, K))
     table.add_row(

@@ -108,6 +108,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
 def _evaluate_world(
     world, seed, candidates, scorer, distance, table, merge_ilds, group_ilds
 ) -> None:
+    distances = distance.table(candidates)  # shared by every selection below
     for group in world.groups:
         member_utilities: Dict[str, Dict[str, float]] = {
             member.user_id: utility_scores(member, candidates, scorer)
@@ -121,7 +122,7 @@ def _evaluate_world(
                 ScoredItem(item=item, utility=member_utilities[member.user_id][item.key])
                 for item in candidates
             ]
-            per_member_lists.append(mmr_select(scored, K, distance, LAMBDA))
+            per_member_lists.append(mmr_select(scored, K, distances, LAMBDA))
         merged: List[RecommendationItem] = []
         seen_keys = set()
         rank = 0
@@ -147,7 +148,7 @@ def _evaluate_world(
         group_scored = [
             ScoredItem(item=item, utility=average[item.key]) for item in candidates
         ]
-        group_package = [s.item for s in mmr_select(group_scored, K, distance, LAMBDA)]
+        group_package = [s.item for s in mmr_select(group_scored, K, distances, LAMBDA)]
 
         ild_merge = intra_list_distance(merged, distance)
         ild_group = intra_list_distance(group_package, distance)

@@ -10,12 +10,18 @@ from repro.graphtools.adjacency import UndirectedGraph
 Node = Hashable
 
 
-def bfs_distances(graph: UndirectedGraph, source: Node) -> Dict[Node, int]:
+def bfs_distances(
+    graph: UndirectedGraph, source: Node, cutoff: int | None = None
+) -> Dict[Node, int]:
     """Hop distances from ``source`` to every reachable node (including itself).
+
+    With ``cutoff``, only nodes at most ``cutoff`` hops away are visited.
 
     >>> g = UndirectedGraph([("a", "b"), ("b", "c")])
     >>> bfs_distances(g, "a")["c"]
     2
+    >>> sorted(bfs_distances(g, "a", cutoff=1))
+    ['a', 'b']
     """
     if source not in graph:
         raise KeyError(f"source node not in graph: {source!r}")
@@ -23,9 +29,12 @@ def bfs_distances(graph: UndirectedGraph, source: Node) -> Dict[Node, int]:
     frontier = deque([source])
     while frontier:
         node = frontier.popleft()
+        depth = distances[node]
+        if cutoff is not None and depth >= cutoff:
+            break  # the frontier is in depth order: nothing nearer is left
         for neighbour in graph.neighbors(node):
             if neighbour not in distances:
-                distances[neighbour] = distances[node] + 1
+                distances[neighbour] = depth + 1
                 frontier.append(neighbour)
     return distances
 

@@ -6,6 +6,7 @@ diversity, fairness, anonymity).
 """
 
 from repro.recommender.diversity import (
+    DistanceTable,
     ItemDistance,
     coverage_select,
     family_coverage,
@@ -52,6 +53,7 @@ from repro.recommender.relatedness import (
 from repro.recommender.transparency import explain_item, explain_package
 
 __all__ = [
+    "DistanceTable",
     "ItemDistance",
     "coverage_select",
     "family_coverage",

@@ -36,6 +36,7 @@ from repro.profiles.user import User
 from repro.provenance.store import ProvenanceStore
 from repro.provenance.workflow import Workflow
 from repro.recommender.diversity import (
+    DistanceTable,
     ItemDistance,
     coverage_select,
     max_min_select,
@@ -94,9 +95,10 @@ class EngineConfig:
     spread_depth: int = 0  # interest spreading hops (0 = profile as-is)
     spread_decay: float = 0.5
     #: How many version pairs keep warm per-context artefacts (measure
-    #: results, candidate pools, scorers).  A long-lived serving engine sees
-    #: an unbounded stream of pairs as writers commit; beyond this many the
-    #: oldest pair's caches are evicted (recomputable, never wrong).
+    #: results, candidate pools, scorers, distance tables).  A long-lived
+    #: serving engine sees an unbounded stream of pairs as writers commit;
+    #: beyond this many the oldest pair's caches are evicted (recomputable,
+    #: never wrong).
     max_cached_contexts: int = 8
 
     def __post_init__(self) -> None:
@@ -130,7 +132,7 @@ class _ContextArtefacts:
     ``candidates`` fills ``results`` under the same entry lock.
     """
 
-    __slots__ = ("lock", "results", "candidates", "by_key", "scorer")
+    __slots__ = ("lock", "results", "candidates", "by_key", "scorer", "distances")
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
@@ -138,6 +140,7 @@ class _ContextArtefacts:
         self.candidates: List[RecommendationItem] | None = None
         self.by_key: Dict[str, RecommendationItem] | None = None
         self.scorer: RelatednessScorer | None = None
+        self.distances: DistanceTable | None = None
 
     def fill(self, field: str, factory):
         """``getattr(self, field)``, computed by ``factory()`` exactly once.
@@ -161,12 +164,12 @@ class RecommenderEngine:
     """Facade over the full human-aware recommendation pipeline.
 
     Engine instances are shareable across threads: every per-context
-    artefact (measure results, candidate pool, scorer) lives in one bundle
-    that fills under a per-context lock -- the first request for a cold
-    pair computes, concurrent requests for the same pair wait and reuse,
-    and unrelated pairs proceed in parallel.  The engine-wide lock only
-    guards the (bounded) cache maps themselves; the scoring path reads
-    immutable snapshots.
+    artefact (measure results, candidate pool, scorer, distance table)
+    lives in one bundle that fills under a per-context lock -- the first
+    request for a cold pair computes, concurrent requests for the same
+    pair wait and reuse, and unrelated pairs proceed in parallel.  The
+    engine-wide lock only guards the (bounded) cache maps themselves; the
+    scoring path reads immutable snapshots.
     """
 
     def __init__(
@@ -372,8 +375,19 @@ class RecommenderEngine:
             ),
         )
 
-    def _distance(self, context: EvolutionContext) -> ItemDistance:
-        return ItemDistance(class_graph=class_graph(context.new_schema))
+    def _distances(self, context: EvolutionContext) -> DistanceTable:
+        """The candidate pool's distance table (cached per context).
+
+        One horizon-capped BFS per distinct candidate target on the new
+        version's class graph, once per pair; each read's selector then
+        costs O(k·n) numpy work instead of O(k²·n) scalar distance calls.
+        """
+        return self._artefacts_for(context).fill(
+            "distances",
+            lambda: ItemDistance(class_graph=class_graph(context.new_schema)).table(
+                self.candidates(context)
+            ),
+        )
 
     def _diversify(
         self,
@@ -385,14 +399,14 @@ class RecommenderEngine:
         name = self._config.diversifier
         if name == "none":
             return list(ranked[:k])
-        distance = self._distance(context)
-        if name == "mmr":
-            return mmr_select(ranked, k, distance, self._config.mmr_lambda)
-        if name == "max_min":
-            return max_min_select(ranked, k, distance, self._config.mmr_lambda)
         if name == "coverage":
-            return coverage_select(ranked, k, distance)
-        return novelty_select(ranked, k, distance, seen, self._config.mmr_lambda)
+            return coverage_select(ranked, k)
+        distances = self._distances(context)
+        if name == "mmr":
+            return mmr_select(ranked, k, distances, self._config.mmr_lambda)
+        if name == "max_min":
+            return max_min_select(ranked, k, distances, self._config.mmr_lambda)
+        return novelty_select(ranked, k, distances, seen, self._config.mmr_lambda)
 
     def _candidates_by_key(
         self, context: EvolutionContext | None = None

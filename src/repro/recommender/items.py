@@ -43,11 +43,16 @@ class RecommendationItem:
             raise ValueError(
                 f"evolution_score must be in [0, 1], got {self.evolution_score}"
             )
+        # Every read looks a candidate's key up several times (ranking,
+        # score rows, selector tie-breaks); build the string once.
+        object.__setattr__(
+            self, "_key", f"{self.measure_name}{_KEY_SEPARATOR}{self.target.value}"
+        )
 
     @property
     def key(self) -> str:
         """Stable string key (used by feedback stores and provenance)."""
-        return f"{self.measure_name}{_KEY_SEPARATOR}{self.target.value}"
+        return self._key  # type: ignore[attr-defined]
 
     @staticmethod
     def parse_key(key: str) -> Tuple[str, IRI]:
