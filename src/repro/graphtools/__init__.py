@@ -1,10 +1,11 @@
-"""Graph algorithms implemented from scratch (system S7 in DESIGN.md).
+"""Graph algorithms implemented from scratch (``docs/architecture.md`` §2).
 
 The structural evolution measures of Section II.c need betweenness and
 bridging centrality over the class-level graph of a knowledge-base version.
 These are implemented here on a plain adjacency representation
-(:class:`UndirectedGraph`) with no third-party dependencies; the test suite
-cross-checks them against networkx on random graphs.
+(:class:`UndirectedGraph`), with numpy as the only dependency (the Brandes
+kernel); the test suite cross-checks them against networkx on random
+graphs.
 """
 
 from repro.graphtools.adjacency import UndirectedGraph

@@ -23,14 +23,16 @@ def spread_interest(
     """Interest weights: ``max over foci of decay ** distance`` within ``depth``.
 
     Foci absent from the graph still receive their own full weight (1.0) --
-    a user can care about a class that vanished from the schema.
+    a user can care about a class that vanished from the schema.  Each
+    focus's BFS stops at ``depth`` hops, so its cost follows the size of
+    that neighbourhood, not of the graph.
     """
     weights: Dict[Node, float] = {}
     for focus in foci:
         if focus not in graph:
             weights[focus] = max(weights.get(focus, 0.0), 1.0)
             continue
-        for node, distance in bfs_distances(graph, focus).items():
+        for node, distance in bfs_distances(graph, focus, cutoff=depth).items():
             if distance > depth:
                 continue
             weight = decay**distance

@@ -34,9 +34,10 @@ from repro.measures.base import (
 
 CentralityFn = Callable[[UndirectedGraph], Mapping[Hashable, float]]
 
-#: Schema-memo keys of the structural artefact: the class graph with its
-#: normalized betweenness map, and the raw (unnormalized) scores the
-#: incremental maintenance path chains on.
+#: Schema-memo keys of the structural artefacts: the class graph, the class
+#: graph with its normalized betweenness map, and the raw (unnormalized)
+#: scores the incremental maintenance path chains on.
+CLASS_GRAPH_KEY = "structural:class_graph"
 BETWEENNESS_KEY = "structural:betweenness"
 RAW_BETWEENNESS_KEY = "structural:betweenness:raw"
 EDGE_KEYS_KEY = "structural:betweenness:edges"
@@ -55,11 +56,20 @@ def class_graph(schema: SchemaView) -> UndirectedGraph:
     (betweenness, bridging coefficients) -- is a pure function of the
     schema content.  The incremental betweenness path relies on this to
     carry per-component scores across versions bit-for-bit.
+
+    Memoised on the :class:`SchemaView`, so betweenness, the engine's
+    distance table, every user's spread profile, summaries and replica
+    seeding share one graph per version.  The graph is therefore
+    read-only: callers must never add or remove its nodes or edges.
     """
-    graph = UndirectedGraph(nodes=sorted(schema.classes(), key=lambda c: c.value))
-    for a, b in sorted(schema.class_edges(), key=lambda e: (e[0].value, e[1].value)):
-        graph.add_edge(a, b)
-    return graph
+
+    def _build():
+        graph = UndirectedGraph(nodes=sorted(schema.classes(), key=lambda c: c.value))
+        for a, b in sorted(schema.class_edges(), key=lambda e: (e[0].value, e[1].value)):
+            graph.add_edge(a, b)
+        return graph
+
+    return schema.memoize(CLASS_GRAPH_KEY, _build)
 
 
 def betweenness_artefact(schema: SchemaView) -> Tuple[UndirectedGraph, Mapping]:

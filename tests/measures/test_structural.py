@@ -1,17 +1,28 @@
 """Tests for Section II.c structural shift measures."""
 
+import sys
+import threading
+import time
+
 import networkx as nx
 
+from repro.graphtools.adjacency import UndirectedGraph
 from repro.kb.graph import Graph
 from repro.kb.namespaces import EX, RDF_TYPE, RDFS_CLASS, RDFS_SUBCLASSOF
+from repro.kb.schema import SchemaView
 from repro.kb.triples import Triple
 from repro.kb.version import VersionedKnowledgeBase
+from repro.measures import structural
 from repro.measures.base import EvolutionContext
 from repro.measures.structural import (
     BetweennessShift,
     BridgingCentralityShift,
+    betweenness_artefact,
     class_graph,
 )
+from repro.recommender.engine import EngineConfig, RecommenderEngine
+from repro.synthetic.config import EvolutionConfig, SchemaConfig, UserConfig, WorldConfig
+from repro.synthetic.world import generate_world
 
 
 def _chain_graph(n: int) -> Graph:
@@ -48,6 +59,69 @@ class TestClassGraph:
         theirs.add_edges_from(ours.edges())
         assert theirs.number_of_nodes() == len(ours)
         assert theirs.number_of_edges() == ours.edge_count()
+
+
+def _count_class_graph_builds(monkeypatch, pause=0.0):
+    """Record every graph :func:`class_graph` constructs from now on."""
+    builds = []
+
+    class CountingGraph(UndirectedGraph):
+        def __init__(self, *args, **kwargs):
+            builds.append(self)
+            time.sleep(pause)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(structural, "UndirectedGraph", CountingGraph)
+    return builds
+
+
+class TestOneClassGraphPerVersion:
+    def test_betweenness_distances_and_spread_profiles_share_one_build(self, monkeypatch):
+        config = WorldConfig(
+            schema=SchemaConfig(n_classes=30, n_properties=15),
+            evolution=EvolutionConfig(n_versions=2, changes_per_version=20),
+            users=UserConfig(n_users=6),
+        )
+        world = generate_world(seed=5, config=config)
+        # Fresh versions: the generator's own class-graph reads stay out.
+        kb = VersionedKnowledgeBase()
+        for version in world.kb:
+            kb.commit(version.graph, version_id=version.version_id)
+        builds = _count_class_graph_builds(monkeypatch)
+        engine = RecommenderEngine(kb, config=EngineConfig(spread_depth=1))
+        packages = engine.recommend_many(world.users)
+        assert len(packages) == len(world.users)
+        context = engine.context()
+        # One build per side: betweenness reads both; the distance table
+        # and every user's spread profile read the new side's graph again.
+        assert len(builds) == 2
+        for schema in (context.old_schema, context.new_schema):
+            assert class_graph(schema) is betweenness_artefact(schema)[0]
+        assert len(builds) == 2
+
+    def test_concurrent_first_reads_of_a_cold_view_build_once(self, monkeypatch):
+        builds = _count_class_graph_builds(monkeypatch, pause=0.01)
+        schema = SchemaView(_chain_graph(50))
+        start = threading.Barrier(8)
+        graphs = [None] * 8
+
+        def read(slot):
+            start.wait(timeout=30)
+            graphs[slot] = class_graph(schema)
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert all(graph is builds[0] for graph in graphs)
 
 
 class TestBetweennessShift:

@@ -334,14 +334,19 @@ class TestServiceCachedReads:
                 )
             assert captured
             pairs_seen = set()
+            # The uncached reference is computed once per distinct
+            # (user, pair); every captured body is still compared to it.
+            expected = {}
             for user_id, body in captured:
                 context = json.loads(body.decode("utf-8"))["metadata"]["context"]
                 old_id, new_id = context.split("->")
                 pairs_seen.add((old_id, new_id))
-                expected = plain_svc.recommend_cached(
-                    "uni", user_id, old_id=old_id, new_id=new_id
-                )
-                assert body == expected.body, (
+                key = (user_id, old_id, new_id)
+                if key not in expected:
+                    expected[key] = plain_svc.recommend_cached(
+                        "uni", user_id, old_id=old_id, new_id=new_id
+                    ).body
+                assert body == expected[key], (
                     f"cached body diverged for {user_id} on pair {context}"
                 )
             # The hammer must actually have spanned commits, or the test
