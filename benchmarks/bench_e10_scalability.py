@@ -1,7 +1,7 @@
 """E10 (F6). End-to-end recommendation latency vs knowledge-base size (Section I).
 
-Regenerates the E10 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E10 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e10_scalability`.
 """
 
 

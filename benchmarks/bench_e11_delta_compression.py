@@ -1,7 +1,7 @@
 """E11 (T5). High-level deltas compress low-level change descriptions across op mixes (Section I).
 
-Regenerates the E11 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E11 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e11_deltas`.
 """
 
 

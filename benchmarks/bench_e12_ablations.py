@@ -1,8 +1,8 @@
 """E12 (T6). Design-knob ablations: graph-decay interest spreading under
 sparse profile elicitation, and the fairness-aware beta frontier.
 
-Regenerates the E12 tables; see DESIGN.md sections 3 and 6 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E12 tables; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e12_ablations`.
 """
 
 

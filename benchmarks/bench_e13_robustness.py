@@ -1,8 +1,8 @@
 """E13 (T7). Seed robustness: the headline relatedness / fairness / hotspot
 effects re-measured on five fresh worlds each, with sign-consistency checks.
 
-Regenerates the E13 tables; see DESIGN.md section 3 and EXPERIMENTS.md for
-the claim-vs-measured record.
+Regenerates the E13 tables; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e13_robustness`.
 """
 
 

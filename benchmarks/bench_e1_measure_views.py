@@ -1,7 +1,7 @@
 """E1 (T1). Pairwise disagreement of the measure catalogue's rankings: the catalogue spans genuinely different views of evolution (Section II.d).
 
-Regenerates the E1 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E1 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e1_views`.
 """
 
 

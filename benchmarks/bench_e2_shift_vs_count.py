@@ -1,7 +1,7 @@
 """E2 (T2). Importance-shift measures recover semantically affected classes that raw change counting misranks (Section II.d).
 
-Regenerates the E2 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E2 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e2_superiority`.
 """
 
 

@@ -1,7 +1,7 @@
 """E3 (F1). Neighbourhood change counts localise the changed area as evolution concentrates (Section II.b).
 
-Regenerates the E3 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E3 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e3_neighborhood`.
 """
 
 

@@ -1,7 +1,7 @@
 """E4 (F2). Relatedness ranking vs random/popularity baselines with the semantic/collaborative alpha ablation (Section III.a).
 
-Regenerates the E4 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E4 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e4_relatedness`.
 """
 
 

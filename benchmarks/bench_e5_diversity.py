@@ -1,7 +1,7 @@
 """E5 (F3). The relevance-diversity trade-off of MMR/Max-Min/coverage package selection (Section III.c).
 
-Regenerates the E5 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E5 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e5_diversity`.
 """
 
 

@@ -1,7 +1,7 @@
 """E6 (T3). Merging per-user diversified lists is not group-level diversification (Section III.c).
 
-Regenerates the E6 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E6 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e6_group_diversity`.
 """
 
 

@@ -1,7 +1,7 @@
 """E7 (F4). Fairness-aware group selection vs naive aggregation across group sizes (Section III.d).
 
-Regenerates the E7 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E7 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e7_fairness`.
 """
 
 

@@ -1,7 +1,7 @@
 """E8 (F5). The privacy-utility trade-off of k-anonymous evolution reports (Section III.e).
 
-Regenerates the E8 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E8 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e8_anonymity`.
 """
 
 

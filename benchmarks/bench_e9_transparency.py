@@ -1,7 +1,7 @@
 """E9 (T4). Provenance answerability and capture overhead of the tracked pipeline (Section III.b).
 
-Regenerates the E9 table/series; see DESIGN.md section 3 and
-EXPERIMENTS.md for the claim-vs-measured record.
+Regenerates the E9 table/series; the claim and its shape checks
+are in :mod:`repro.eval.experiments.e9_transparency`.
 """
 
 

@@ -12,29 +12,27 @@ throughput and latency percentiles per concurrency level::
     PYTHONPATH=src python benchmarks/bench_service.py --clients 1 8      # custom levels
     PYTHONPATH=src python benchmarks/bench_service.py --http             # through the HTTP front-end
 
-With ``--http`` the same closed-loop clients hammer the stdlib HTTP
-front-end on an ephemeral port instead of the Python API; every client
-opens **one persistent keep-alive connection** and reuses it for all of
-its requests (the server speaks HTTP/1.1 with Content-Length), so the
+With ``--http`` the same closed-loop clients hammer the HTTP front-end
+(:mod:`repro.service.aio`, the one ``repro serve`` runs) on an ephemeral
+port instead of the Python API; every client opens **one persistent
+keep-alive connection** and reuses it for all of its requests, so the
 measured latencies are the server's, not per-request TCP setup's.  The
 results merge as a separate ``"service_http"`` section -- the gated
-``"service"`` numbers keep measuring the service itself.
+``"service"`` numbers keep measuring the service itself -- which also
+records the front-end's two invariants:
 
-With ``--async`` the harness benchmarks the **asyncio front-end**
-(:mod:`repro.service.aio`) against the threaded one, in three phases: a
-deterministic concurrent mixed read/commit stream captured byte-for-byte
-on both transports (single committer, reads pinned to one version pair,
-so every response is byte-deterministic -- any divergence is an error),
-the classic closed-loop levels through the async server, and an **idle
-keep-alive** phase holding both front-ends to the same thread budget and
-counting how many established-idle connections each sustains within it.
-The threaded server pays one OS thread per connection and the async one
-pays ~zero, so the sustained ratio is an implementation invariant, not a
-hardware number -- the regression gate requires >= 4x on any box.  The
-results merge as a ``"service_async"`` section::
+* ``responses_bit_identical``: a deterministic concurrent mixed
+  read/commit stream (single committer, reads pinned to one version pair,
+  so every response is byte-deterministic) is captured byte for byte and
+  compared with a serial replay of the same requests on an identically
+  generated twin service -- any divergence is an error;
+* ``idle_keepalive``: the server's thread count with N/2 and with N
+  established, served, idle keep-alive connections (N = 240).  The two
+  must be equal -- an idle connection costs a coroutine, never a thread --
+  which holds on any hardware::
 
-    PYTHONPATH=src python benchmarks/bench_service.py --async
-    PYTHONPATH=src python benchmarks/bench_service.py --async --quick
+    PYTHONPATH=src python benchmarks/bench_service.py --http
+    PYTHONPATH=src python benchmarks/bench_service.py --http --quick
 
 With ``--cache`` the harness benchmarks the **versioned response cache**
 (:mod:`repro.service.respcache`) against the uncached service, in two
@@ -122,7 +120,12 @@ from repro._version import __version__
 from repro.io.storage import package_to_dict
 from repro.kb import wire
 from repro.recommender.engine import EngineConfig
-from repro.service import RecommendationService, ServiceConfig, ShardSupervisor
+from repro.service import (
+    AsyncServerThread,
+    RecommendationService,
+    ServiceConfig,
+    ShardSupervisor,
+)
 from repro.service.registry import TenantRegistry
 from repro.synthetic.config import EvolutionConfig, SchemaConfig, WorldConfig
 from repro.synthetic.world import generate_world
@@ -275,8 +278,8 @@ def _run_level(
 ) -> Dict[str, float]:
     """One concurrency level against a fresh service; returns its metrics.
 
-    ``http=True`` hammers the stdlib HTTP front-end on an ephemeral port
-    (one keep-alive connection per client) instead of the Python API.
+    ``http=True`` hammers the HTTP front-end on an ephemeral port (one
+    keep-alive connection per client) instead of the Python API.
     """
     service = RecommendationService(
         ServiceConfig(k=k, workers=workers, engine=EngineConfig(k=k))
@@ -288,18 +291,11 @@ def _run_level(
         # Deterministic per-client rotation over the user population.
         return TENANT, user_ids[(client_index + i) % len(user_ids)]
 
-    server = server_thread = None
+    server = None
     try:
         if http:
-            from repro.service.http import make_server
-
-            server = make_server(service, host="127.0.0.1", port=0)
-            server_thread = threading.Thread(
-                target=server.serve_forever, name="bench-http-server", daemon=True
-            )
-            server_thread.start()
-            host, port = server.server_address[:2]
-            factory = _http_client_factory(host, port)
+            server = AsyncServerThread(service)
+            factory = _http_client_factory(*server.start())
             warm = factory()
             recommend, per_client = factory, True
         else:
@@ -317,8 +313,7 @@ def _run_level(
         stats_after = service.admission_stats.snapshot()
     finally:
         if server is not None:
-            server.shutdown()
-            server.server_close()
+            server.stop()
         service.close()
 
     metrics = _level_metrics(samples, wall, clients)
@@ -342,7 +337,10 @@ def run(
     ``http=True`` benches through the HTTP front-end (persistent
     keep-alive connection per client) and merges a ``"service_http"``
     section instead, so the gated in-process ``"service"`` numbers keep
-    their meaning.
+    their meaning.  That section also records the front-end's two
+    invariants: ``responses_bit_identical`` (a concurrent mixed
+    read/commit stream against a serial replay on a twin world) and
+    ``idle_keepalive`` (thread counts at N/2 and N idle connections).
     """
     levels = list(clients or DEFAULT_CLIENT_LEVELS)
     config = QUICK_CONFIG if quick else WORLD_CONFIG
@@ -388,8 +386,226 @@ def run(
         },
         "levels": results,
     }
+    if http:
+        service_config = ServiceConfig(k=k, workers=workers, engine=EngineConfig(k=k))
+        section["responses_bit_identical"] = _mixed_stream_bit_identical(
+            config, service_config, requests_per_client
+        )
+        section["idle_keepalive"] = idle = _idle_keepalive(world, service_config)
+        print(
+            f"idle keep-alive: {idle['threads_half']} threads at "
+            f"{idle['connections_half']} connections, {idle['threads']} at "
+            f"{idle['connections']}"
+        )
     _merge_section(output, "service_http" if http else "service", section)
     return section
+
+
+# -- HTTP front-end invariants ------------------------------------------------------
+
+#: Idle keep-alive connections the ``service_http`` idle block opens (N).
+#: The server's thread count at N must equal its count at N/2: an idle
+#: connection costs a parked coroutine, never a thread.  Far inside
+#: default file-descriptor limits (two sockets per connection in-process).
+IDLE_CONNECTIONS = 240
+
+
+def _open_idle_connection(host: str, port: int, user_id: str):
+    """Open one keep-alive connection, prove it is served, leave it idle.
+
+    The round-trip matters: an unaccepted or unserved socket would count
+    as "held" without the server ever paying for it.  It is a
+    ``/recommend`` because that path never leaves the event loop and the
+    admission workers (both fixed), whereas ``/health`` runs in the loop's
+    executor, which may start a thread of its own whenever a request
+    arrives before an idle one is back -- a cost of requests, bounded by
+    the executor size, not of connections.
+    """
+    import http.client
+
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    connection.request(
+        "POST", "/recommend", json.dumps({"tenant": TENANT, "user": user_id}),
+        {"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    payload = response.read()
+    if response.status != 200:
+        connection.close()
+        raise RuntimeError(f"idle /recommend -> {response.status}: {payload[:200]!r}")
+    return connection
+
+
+def _idle_keepalive(world, service_config: ServiceConfig) -> Dict:
+    """Thread counts with N/2 and N established, served, idle connections."""
+    service = RecommendationService(service_config)
+    service.add_tenant(TENANT, world.kb, world.users)
+    user_id = world.users[0].user_id
+    connections = []
+    half = IDLE_CONNECTIONS // 2
+    try:
+        with AsyncServerThread(service, max_connections=IDLE_CONNECTIONS + 8) as server:
+            host, port = server.address
+            for _ in range(half):
+                connections.append(_open_idle_connection(host, port, user_id))
+            threads_half = threading.active_count()
+            for _ in range(IDLE_CONNECTIONS - half):
+                connections.append(_open_idle_connection(host, port, user_id))
+            threads = threading.active_count()
+            # Liveness under load: the server still answers with every
+            # idle connection open, on old connections and new ones alike.
+            connections[0].request("GET", "/health")
+            connections[0].getresponse().read()
+            _open_idle_connection(host, port, user_id).close()
+    finally:
+        for connection in connections:
+            connection.close()
+        service.close()
+    return {
+        "connections_half": half,
+        "threads_half": threads_half,
+        "connections": IDLE_CONNECTIONS,
+        "threads": threads,
+    }
+
+
+def _capture_stream(
+    host: str,
+    port: int,
+    schedule: Schedule,
+    clients: int,
+    requests_per_client: int,
+    pinned_pair: Tuple[str, str],
+    commit_bodies: List[bytes],
+) -> List[List[bytes]]:
+    """Hammer a mixed read/commit stream; return raw response bytes per client.
+
+    Client 0 issues the ``commit_bodies`` sequence (single committer ->
+    deterministic version chain); every other client reads with the
+    version pair **pinned** to ``pinned_pair``, so a read racing a commit
+    scores the same snapshot no matter how the two interleave.  That makes
+    every response byte-deterministic, so a serial replay of the same
+    requests must produce identical bytes per (client, index).
+    """
+    import http.client
+
+    captured: List[List[bytes]] = [[] for _ in range(clients)]
+    errors: List[BaseException] = []
+    start_barrier = threading.Barrier(clients)
+
+    def client_loop(index: int) -> None:
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            start_barrier.wait()
+            if index == 0 and commit_bodies:
+                for body in commit_bodies:
+                    connection.request(
+                        "POST", "/commit", body, {"Content-Type": "application/json"}
+                    )
+                    response = connection.getresponse()
+                    payload = response.read()
+                    if response.status != 200:
+                        raise RuntimeError(f"/commit -> {response.status}: {payload[:200]!r}")
+                    captured[index].append(payload)
+                return
+            old_id, new_id = pinned_pair
+            for i in range(requests_per_client):
+                tenant, user_id = schedule(index, i)
+                body = json.dumps(
+                    {"tenant": tenant, "user": user_id, "old": old_id, "new": new_id}
+                ).encode("utf-8")
+                connection.request(
+                    "POST", "/recommend", body, {"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                payload = response.read()
+                if response.status != 200:
+                    raise RuntimeError(f"/recommend -> {response.status}: {payload[:200]!r}")
+                captured[index].append(payload)
+        except BaseException as exc:
+            errors.append(exc)
+            start_barrier.abort()
+        finally:
+            connection.close()
+
+    threads = [
+        threading.Thread(target=client_loop, args=(i,), daemon=True)
+        for i in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return captured
+
+
+def _mixed_stream_bit_identical(
+    config: WorldConfig, service_config: ServiceConfig, requests_per_client: int
+) -> bool:
+    """The front-end's bytes under a concurrent mixed stream == a serial replay.
+
+    The stream (one committer, readers pinned to one version pair) runs
+    against the front-end over one world; the same requests are then
+    replayed one by one on an identically generated twin service, each
+    result serialised the way the front-end serialises it.  Raises on
+    any difference.
+    """
+    clients = 4
+    requests = max(4, min(requests_per_client, 12))
+    commits = [
+        {
+            "tenant": TENANT,
+            "added": f"<urn:bench:s{i}> <urn:bench:p> <urn:bench:o{i}> .\n",
+            "version_id": f"bench_http_c{i}",
+        }
+        for i in range(3)
+    ]
+    served_world = generate_world(seed=WORLD_SEED, config=config)
+    ids = served_world.kb.version_ids()
+    pinned = (ids[-2], ids[-1])
+    user_ids = [user.user_id for user in served_world.users]
+
+    def schedule(client_index: int, i: int) -> Tuple[str, str]:
+        return TENANT, user_ids[(client_index + i) % len(user_ids)]
+
+    service = RecommendationService(service_config)
+    service.add_tenant(TENANT, served_world.kb, served_world.users)
+    try:
+        with AsyncServerThread(service) as server:
+            captured = _capture_stream(
+                *server.address, schedule, clients, requests, pinned,
+                [json.dumps(commit).encode("utf-8") for commit in commits],
+            )
+    finally:
+        service.close()
+
+    # Serial replay: the committer's requests in order, then each reader's
+    # (pinned reads do not depend on how they interleaved with commits).
+    twin_world = generate_world(seed=WORLD_SEED, config=config)
+    twin = RecommendationService(service_config)
+    twin.add_tenant(TENANT, twin_world.kb, twin_world.users)
+    try:
+        expected = [[json.dumps(twin.commit_request(commit)).encode() for commit in commits]]
+        for index in range(1, clients):
+            packages = [
+                twin.recommend(*schedule(index, i), old_id=pinned[0], new_id=pinned[1])
+                for i in range(requests)
+            ]
+            expected.append([json.dumps(package_to_dict(p)).encode() for p in packages])
+    finally:
+        twin.close()
+    if captured != expected:
+        raise AssertionError(
+            "front-end responses diverged from a serial replay under the "
+            "mixed read/commit stream"
+        )
+    print(
+        f"verified: front-end responses bit-identical to a serial replay over "
+        f"a mixed stream ({sum(map(len, captured))} responses, {len(commits)} commits)"
+    )
+    return True
 
 
 # -- response cache vs uncached service --------------------------------------------
@@ -575,363 +791,6 @@ def run_cached(
     }
     _merge_section(output, "service_cached", section)
     return section
-
-
-# -- async front-end vs threaded front-end -----------------------------------------
-
-#: Thread budget for the idle keep-alive phase: both front-ends are held to
-#: the same budget, and the phase measures how many established, served,
-#: idle keep-alive connections each can hold within it.  The threaded
-#: front-end pays one OS thread per connection, so it sustains ~budget; the
-#: async front-end pays ~zero threads per connection, so it sustains
-#: whatever the target is.  The resulting ratio is a property of the two
-#: implementations, not of the hardware -- which is why the regression gate
-#: can require >= 4x on any box.
-IDLE_THREAD_BUDGET = 40
-IDLE_THREAD_BUDGET_QUICK = 10
-#: Idle connections the async side opens, as a multiple of the budget.
-#: Above the 4x gate floor so the invariant has headroom, low enough to
-#: stay far inside default file-descriptor limits.
-IDLE_TARGET_FACTOR = 6
-
-
-def _open_idle_connection(host: str, port: int):
-    """Open one keep-alive connection, prove it is served, leave it idle.
-
-    The /health round-trip matters: an unaccepted or unserved socket would
-    count as "sustained" without the server ever paying for it.
-    """
-    import http.client
-
-    connection = http.client.HTTPConnection(host, port, timeout=30)
-    connection.request("GET", "/health")
-    response = connection.getresponse()
-    payload = response.read()
-    if response.status != 200:
-        connection.close()
-        raise RuntimeError(f"idle /health -> {response.status}: {payload[:200]!r}")
-    return connection
-
-
-def _capture_stream(
-    host: str,
-    port: int,
-    schedule: Schedule,
-    clients: int,
-    requests_per_client: int,
-    pinned_pair: Tuple[str, str],
-    commit_bodies: List[bytes],
-) -> List[List[bytes]]:
-    """Hammer a mixed read/commit stream; return raw response bytes per client.
-
-    Client 0 issues the ``commit_bodies`` sequence (single committer ->
-    deterministic version chain); every other client reads with the
-    version pair **pinned** to ``pinned_pair``, so a read racing a commit
-    scores the same snapshot no matter how the two interleave.  That makes
-    every response byte-deterministic, so two transports running this
-    stream concurrently must capture identical bytes per (client, index).
-    """
-    import http.client
-
-    captured: List[List[bytes]] = [[] for _ in range(clients)]
-    errors: List[BaseException] = []
-    start_barrier = threading.Barrier(clients)
-
-    def client_loop(index: int) -> None:
-        connection = http.client.HTTPConnection(host, port)
-        try:
-            start_barrier.wait()
-            if index == 0 and commit_bodies:
-                for body in commit_bodies:
-                    connection.request(
-                        "POST", "/commit", body, {"Content-Type": "application/json"}
-                    )
-                    response = connection.getresponse()
-                    payload = response.read()
-                    if response.status != 200:
-                        raise RuntimeError(f"/commit -> {response.status}: {payload[:200]!r}")
-                    captured[index].append(payload)
-                return
-            old_id, new_id = pinned_pair
-            for i in range(requests_per_client):
-                tenant, user_id = schedule(index, i)
-                body = json.dumps(
-                    {"tenant": tenant, "user": user_id, "old": old_id, "new": new_id}
-                ).encode("utf-8")
-                connection.request(
-                    "POST", "/recommend", body, {"Content-Type": "application/json"}
-                )
-                response = connection.getresponse()
-                payload = response.read()
-                if response.status != 200:
-                    raise RuntimeError(f"/recommend -> {response.status}: {payload[:200]!r}")
-                captured[index].append(payload)
-        except BaseException as exc:
-            errors.append(exc)
-            start_barrier.abort()
-        finally:
-            connection.close()
-
-    threads = [
-        threading.Thread(target=client_loop, args=(i,), daemon=True)
-        for i in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return captured
-
-
-def run_async(
-    output: Path,
-    clients: List[int] | None = None,
-    requests_per_client: int = 60,
-    workers: int = 4,
-    warmup_requests: int = 8,
-    k: int = 5,
-    quick: bool = False,
-) -> Dict:
-    """Benchmark the asyncio front-end against the threaded one.
-
-    Three phases, merged as one ``"service_async"`` section:
-
-    1. **Bit-identity** -- the same deterministic concurrent mixed
-       read/commit stream (single committer, reads pinned to one version
-       pair) runs against a threaded and an async front-end over two
-       identically-generated worlds; every captured response must match
-       byte for byte, commit responses included.
-    2. **Closed-loop levels** -- the classic 1/8/32-client hammer through
-       the async front-end (one persistent keep-alive connection per
-       client), comparable to the ``service_http`` section.
-    3. **Idle keep-alive** -- both front-ends are held to the same thread
-       budget and loaded with established-idle keep-alive connections;
-       the section records how many each sustained within the budget and
-       the async/threaded ratio the regression gate requires >= 4x of.
-    """
-    from repro.service.aio import AsyncServerThread
-    from repro.service.http import make_server
-
-    levels = list(clients or DEFAULT_CLIENT_LEVELS)
-    config = QUICK_CONFIG if quick else WORLD_CONFIG
-    if quick:
-        requests_per_client = min(requests_per_client, 5)
-        warmup_requests = min(warmup_requests, 2)
-    budget = IDLE_THREAD_BUDGET_QUICK if quick else IDLE_THREAD_BUDGET
-    idle_target = budget * IDLE_TARGET_FACTOR
-
-    world = generate_world(seed=WORLD_SEED, config=config)
-    user_ids = [user.user_id for user in world.users]
-    service_config = ServiceConfig(k=k, workers=workers, engine=EngineConfig(k=k))
-
-    # -- phase 1: bit-identity under a concurrent mixed read/commit stream --------
-    identity_clients = 4
-    identity_requests = max(4, min(requests_per_client, 12))
-    commit_bodies = [
-        json.dumps(
-            {
-                "tenant": TENANT,
-                "added": f"<urn:bench:s{i}> <urn:bench:p> <urn:bench:o{i}> .\n",
-                "version_id": f"bench_async_c{i}",
-            }
-        ).encode("utf-8")
-        for i in range(3)
-    ]
-
-    def identity_schedule(client_index: int, i: int) -> Tuple[str, str]:
-        return TENANT, user_ids[(client_index + i) % len(user_ids)]
-
-    captures: Dict[str, List[List[bytes]]] = {}
-    for transport in ("threaded", "async"):
-        # Fresh, identically-generated world per transport: the committer
-        # client mutates the chain, so the two sides must not share a KB.
-        stream_world = generate_world(seed=WORLD_SEED, config=config)
-        pinned = (stream_world.kb.version_ids()[-2], stream_world.kb.version_ids()[-1])
-        service = RecommendationService(service_config)
-        service.add_tenant(TENANT, stream_world.kb, stream_world.users)
-        if transport == "threaded":
-            server = make_server(service, host="127.0.0.1", port=0)
-            server_thread = threading.Thread(
-                target=server.serve_forever, name="bench-identity-http", daemon=True
-            )
-            server_thread.start()
-            host, port = server.server_address[:2]
-            try:
-                captures[transport] = _capture_stream(
-                    host, port, identity_schedule, identity_clients,
-                    identity_requests, pinned, commit_bodies,
-                )
-            finally:
-                server.shutdown()
-                server.server_close()
-                service.close()
-        else:
-            with AsyncServerThread(service) as async_server:
-                host, port = async_server.address
-                captures[transport] = _capture_stream(
-                    host, port, identity_schedule, identity_clients,
-                    identity_requests, pinned, commit_bodies,
-                )
-            service.close()
-    if captures["threaded"] != captures["async"]:
-        raise AssertionError(
-            "async front-end responses diverged from threaded under the "
-            "mixed read/commit stream"
-        )
-    total_captured = sum(len(per_client) for per_client in captures["async"])
-    print(
-        f"verified: async responses bit-identical to threaded over a mixed "
-        f"stream ({total_captured} responses, {len(commit_bodies)} commits)"
-    )
-
-    # -- phase 2: closed-loop concurrency levels ----------------------------------
-    results: Dict[str, Dict] = {}
-    for level in levels:
-        service = RecommendationService(service_config)
-        service.add_tenant(TENANT, world.kb, world.users)
-
-        def schedule(client_index: int, i: int) -> Tuple[str, str]:
-            return TENANT, user_ids[(client_index + i) % len(user_ids)]
-
-        try:
-            with AsyncServerThread(service) as async_server:
-                host, port = async_server.address
-                factory = _http_client_factory(host, port)
-                warm = factory()
-                for i in range(warmup_requests):
-                    warm(TENANT, user_ids[i % len(user_ids)])
-                warm.close()
-                stats_before = service.admission_stats.snapshot()
-                samples, wall = _hammer(
-                    factory, schedule, level, requests_per_client, per_client=True
-                )
-                stats_after = service.admission_stats.snapshot()
-        finally:
-            service.close()
-        metrics = _level_metrics(samples, wall, level)
-        metrics["batches"] = stats_after["batches"] - stats_before["batches"]
-        metrics["largest_batch"] = stats_after["largest_batch"]
-        results[f"clients_{level}"] = metrics
-        print(
-            f"async clients {level:3d}: {metrics['throughput_rps']:8.1f} req/s  "
-            f"p50 {metrics['p50_ms']:7.2f} ms  p99 {metrics['p99_ms']:7.2f} ms  "
-            f"({metrics['requests']} requests, {metrics['batches']} batches)"
-        )
-
-    # -- phase 3: idle keep-alive connections under one thread budget -------------
-    idle = _idle_keepalive_phase(
-        world, service_config, budget=budget, target=idle_target
-    )
-    print(
-        f"idle keep-alive (thread budget {budget}): threaded sustained "
-        f"{idle['sustained_threaded']}, async sustained {idle['sustained_async']} "
-        f"(+{idle['async']['thread_delta']} threads) -> {idle['ratio']:.1f}x"
-    )
-
-    section = {
-        "meta": {
-            "repro_version": __version__,
-            "python": platform.python_version(),
-            "world_seed": WORLD_SEED,
-            "n_classes": config.schema.n_classes,
-            "n_properties": config.schema.n_properties,
-            "n_versions": config.evolution.n_versions,
-            "changes_per_version": config.evolution.changes_per_version,
-            "n_users": len(world.users),
-            "requests_per_client": requests_per_client,
-            "workers": workers,
-            "k": k,
-            "quick": quick,
-            "transport": "asyncio",
-        },
-        "levels": results,
-        "idle_keepalive": idle,
-        "responses_bit_identical": True,
-    }
-    _merge_section(output, "service_async", section)
-    return section
-
-
-def _idle_keepalive_phase(
-    world, service_config: ServiceConfig, budget: int, target: int
-) -> Dict:
-    """Measure idle keep-alive capacity of both front-ends within ``budget``.
-
-    Each connection is opened, proven served (one /health round-trip) and
-    left idle.  The threaded front-end is stopped as soon as its thread
-    count grows past the budget -- that is the budget doing its job, not a
-    failure; the async front-end opens the full ``target`` and records its
-    (near-zero) thread growth.  ``sustained_*`` is the established-idle
-    connection count each side held while within budget, and ``ratio`` is
-    the gated invariant.
-    """
-    from repro.service.aio import AsyncServerThread
-    from repro.service.http import make_server
-
-    # Threaded: one thread per connection by construction.
-    service = RecommendationService(service_config)
-    service.add_tenant(TENANT, world.kb, world.users)
-    server = make_server(service, host="127.0.0.1", port=0)
-    server_thread = threading.Thread(
-        target=server.serve_forever, name="bench-idle-http", daemon=True
-    )
-    server_thread.start()
-    host, port = server.server_address[:2]
-    connections = []
-    baseline_threads = threading.active_count()
-    threaded_delta = 0
-    try:
-        for _ in range(target):
-            connections.append(_open_idle_connection(host, port))
-            threaded_delta = threading.active_count() - baseline_threads
-            if threaded_delta >= budget:
-                break
-        sustained_threaded = len(connections)
-    finally:
-        for connection in connections:
-            connection.close()
-        server.shutdown()
-        server.server_close()
-        service.close()
-
-    # Async: the same budget, the full target of connections.
-    service = RecommendationService(service_config)
-    service.add_tenant(TENANT, world.kb, world.users)
-    connections = []
-    try:
-        with AsyncServerThread(service, max_connections=target + 8) as async_server:
-            host, port = async_server.address
-            baseline_threads = threading.active_count()
-            for _ in range(target):
-                connections.append(_open_idle_connection(host, port))
-            async_delta = threading.active_count() - baseline_threads
-            # Liveness under load: the server still answers with every
-            # idle connection open, on old connections and new ones alike.
-            connections[0].request("GET", "/health")
-            connections[0].getresponse().read()
-            probe = _open_idle_connection(host, port)
-            probe.close()
-            opened_async = len(connections)
-    finally:
-        for connection in connections:
-            connection.close()
-        service.close()
-    sustained_async = (
-        opened_async
-        if async_delta <= budget
-        else int(opened_async * budget / max(1, async_delta))
-    )
-    return {
-        "thread_budget": budget,
-        "target_connections": target,
-        "threaded": {"connections": sustained_threaded, "thread_delta": threaded_delta},
-        "async": {"connections": opened_async, "thread_delta": async_delta},
-        "sustained_threaded": sustained_threaded,
-        "sustained_async": sustained_async,
-        "ratio": sustained_async / max(1, sustained_threaded),
-    }
 
 
 # -- sharded topology vs single-process baseline -----------------------------------
@@ -1353,7 +1212,10 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--http", action="store_true",
         help="bench through the HTTP front-end (one persistent keep-alive "
-             "connection per client); merges a 'service_http' section",
+             "connection per client), then check its bytes against a serial "
+             "replay of a mixed read/commit stream and its thread count "
+             "under idle keep-alive connections; merges a 'service_http' "
+             "section",
     )
     parser.add_argument(
         "--cache", dest="use_cache", action="store_true",
@@ -1364,30 +1226,17 @@ def main(argv: List[str] | None = None) -> int:
              "section",
     )
     parser.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="bench the asyncio front-end against the threaded one: "
-             "bit-identity over a mixed read/commit stream, closed-loop "
-             "levels, and the idle keep-alive thread-budget phase; merges "
-             "a 'service_async' section",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="smoke mode: shrunk workload, few requests (not comparable to full runs)",
     )
     args = parser.parse_args(argv)
     if args.http and args.shards:
         raise SystemExit("--http benches the single-process front-end; drop --shards")
-    if args.use_async and (args.shards or args.http):
-        raise SystemExit(
-            "--async benches the single-process asyncio front-end; "
-            "drop --shards/--http"
-        )
     if args.replicas and not args.shards:
         raise SystemExit("--replicas runs on the sharded topology; add --shards N")
-    if args.use_cache and (args.shards or args.http or args.use_async):
+    if args.use_cache and (args.shards or args.http):
         raise SystemExit(
-            "--cache benches the single-process Python API; "
-            "drop --shards/--http/--async"
+            "--cache benches the single-process Python API; drop --shards/--http"
         )
     if args.use_cache:
         run_cached(
@@ -1395,16 +1244,6 @@ def main(argv: List[str] | None = None) -> int:
             clients=args.clients,
             requests_per_client=args.requests,
             workers=args.workers,
-            k=args.k,
-            quick=args.quick,
-        )
-    elif args.use_async:
-        run_async(
-            args.output,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            workers=args.workers,
-            warmup_requests=8 if args.warmup is None else args.warmup,
             k=args.k,
             quick=args.quick,
         )

@@ -43,14 +43,13 @@ Design notes, so the gate stays honest:
   when the run recorded ``cpu_count > 1``: read replicas scale across
   cores, so a 1-core box records its honest flat number and is not
   failed for physics.
-* The async gate (``service_async`` sections, committed baseline and
-  ``--fresh-async`` alike) is all invariants: the async front-end must
-  have answered byte-identically to the threaded one over the bench's
-  deterministic mixed read/commit stream, and it must sustain at least
-  ``--async-min-idle-ratio`` (default 4x) the idle keep-alive connections
-  the threaded server does under the same thread budget.  Both servers
-  run in the same process under the same budget, so the ratio is an
-  implementation property that holds on any hardware.
+* The HTTP front-end gate (the committed ``service_http`` section, and
+  a fresh one through :func:`check_async` directly) is all invariants:
+  the asyncio front-end must have answered byte-identically to a serial
+  replay of the bench's deterministic mixed read/commit stream, and its
+  thread count must not have grown between N/2 and N (>= 240) idle
+  keep-alive connections -- an implementation property that holds on
+  any hardware.
 * The cache gate (``service_cached`` sections, committed baseline and
   ``--fresh-cache`` alike) is all invariants: cached responses must have
   been recorded byte-identical to uncached ones over the bench's
@@ -343,36 +342,27 @@ def check_replicated(
     return verdicts
 
 
-#: Minimum async/threaded sustained idle keep-alive connection ratio.
-#: Unlike the replicated speedup this is *always* enforced: the threaded
-#: front-end pays one OS thread per idle connection and the async one pays
-#: ~none, so the ratio is a property of the implementations, not of the
-#: hardware -- the bench holds both to the same thread budget, and losing
-#: the ratio means the async server started paying per-connection threads.
-DEFAULT_ASYNC_MIN_IDLE_RATIO = 4.0
+#: Fewest idle keep-alive connections (N) the ``service_http`` idle block
+#: may have opened for its thread-count invariant to count.
+HTTP_MIN_IDLE_CONNECTIONS = 240
 
 
-def check_async(
-    report: Dict,
-    min_idle_ratio: float = DEFAULT_ASYNC_MIN_IDLE_RATIO,
-    label: str = "service_async",
-) -> List[Verdict]:
-    """Gate a report's ``service_async`` section (absent -> no verdicts).
+def check_async(report: Dict, label: str = "service_http") -> List[Verdict]:
+    """Gate the asyncio front-end's ``service_http`` section (absent -> no verdicts).
 
-    Two invariants, mirroring what the async front-end promises:
+    Two invariants, neither of them a hardware number:
 
-    * ``responses_bit_identical`` must be ``True`` -- the bench replays a
-      deterministic concurrent mixed read/commit stream against both
-      front-ends and compares raw response bytes; the async server is a
-      pure transport change and must never alter a payload;
-    * the idle keep-alive phase's sustained async/threaded ratio must be
-      at least ``min_idle_ratio``.  Both servers ran under the same
-      thread budget in the same process, so the ratio holds on any
-      hardware -- it is the C10K reason the front-end exists.
+    * ``responses_bit_identical`` must be ``True`` -- the bench captures a
+      deterministic concurrent mixed read/commit stream through the
+      front-end and compares every response byte with a serial replay on
+      an identically generated twin service;
+    * idle connections cost no threads: with ``connections`` (N, at least
+      :data:`HTTP_MIN_IDLE_CONNECTIONS`) established, served, idle
+      keep-alive connections the server runs exactly as many threads as
+      it did with ``connections_half`` (N/2; any other reference count
+      fails, since N against N would pass vacuously).
     """
-    if min_idle_ratio <= 0:
-        raise ValueError(f"min_idle_ratio must be > 0, got {min_idle_ratio}")
-    section = report.get("service_async")
+    section = report.get("service_http")
     if section is None:
         return []
     verdicts: List[Verdict] = []
@@ -381,37 +371,45 @@ def check_async(
         Verdict(
             f"{label}.bit_identical", None, None, None, ok=identical,
             note=(
-                "async == threaded over a mixed read/commit stream"
+                "front-end == serial replay over a mixed read/commit stream"
                 if identical
-                else "async responses not recorded as bit-identical"
+                else "front-end responses not recorded as bit-identical"
             ),
         )
     )
-    idle = section.get("idle_keepalive", {})
-    ratio = idle.get("ratio")
-    if ratio is None:
+    idle = section.get("idle_keepalive") or {}
+    counts = [
+        idle.get(key)
+        for key in ("connections_half", "threads_half", "connections", "threads")
+    ]
+    if any(count is None for count in counts):
         verdicts.append(
             Verdict(
-                f"{label}.idle_ratio", None, None, None, ok=False,
-                note="section carries no idle_keepalive ratio",
+                f"{label}.idle_threads", None, None, None, ok=False,
+                note="section carries no idle_keepalive thread counts",
             )
+        )
+        return verdicts
+    half, threads_half, connections, threads = counts
+    if connections < HTTP_MIN_IDLE_CONNECTIONS:
+        ok, note = False, (
+            f"only {connections} idle connections "
+            f"(floor {HTTP_MIN_IDLE_CONNECTIONS})"
+        )
+    elif half != connections // 2:
+        ok, note = False, f"reference count {half} is not N/2 of {connections}"
+    elif threads != threads_half:
+        ok, note = False, (
+            f"{threads} threads at {connections} idle connections vs "
+            f"{threads_half} at {half}"
         )
     else:
-        budget = idle.get("thread_budget")
-        verdicts.append(
-            Verdict(
-                f"{label}.idle_ratio", None, None, ratio,
-                ok=ratio >= min_idle_ratio,
-                note=(
-                    f"{idle.get('sustained_async')} vs "
-                    f"{idle.get('sustained_threaded')} idle connections "
-                    f"within a {budget}-thread budget"
-                    if ratio >= min_idle_ratio
-                    else f"only {ratio:.2f}x idle connections "
-                         f"(floor {min_idle_ratio:.2f}x)"
-                ),
-            )
+        ok, note = True, (
+            f"{threads} threads at both {half} and {connections} idle connections"
         )
+    verdicts.append(
+        Verdict(f"{label}.idle_threads", None, None, None, ok=ok, note=note)
+    )
     return verdicts
 
 
@@ -783,17 +781,6 @@ def main(argv: List[str] | None = None) -> int:
              "baseline's",
     )
     parser.add_argument(
-        "--fresh-async", type=Path, default=None,
-        help="fresh async serving report (bench_service.py --async output); "
-             "its service_async section is gated like the baseline's "
-             "(bit-identical responses, idle keep-alive ratio)",
-    )
-    parser.add_argument(
-        "--async-min-idle-ratio", type=float, default=DEFAULT_ASYNC_MIN_IDLE_RATIO,
-        help="minimum async/threaded sustained idle keep-alive connection "
-             f"ratio (default: {DEFAULT_ASYNC_MIN_IDLE_RATIO})",
-    )
-    parser.add_argument(
         "--fresh-cache", type=Path, default=None,
         help="fresh cache serving report (bench_service.py --cache output); "
              "its service_cached section is gated like the baseline's "
@@ -852,15 +839,7 @@ def main(argv: List[str] | None = None) -> int:
     verdicts.extend(
         check_replicated(baseline, min_speedup=args.replicated_min_speedup)
     )
-    verdicts.extend(check_async(baseline, min_idle_ratio=args.async_min_idle_ratio))
-    if args.fresh_async is not None:
-        verdicts.extend(
-            check_async(
-                json.loads(args.fresh_async.read_text()),
-                min_idle_ratio=args.async_min_idle_ratio,
-                label="fresh.service_async",
-            )
-        )
+    verdicts.extend(check_async(baseline))
     verdicts.extend(check_cache(baseline, min_speedup=args.cache_min_speedup))
     if args.fresh_cache is not None:
         verdicts.extend(

@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark suite.
 
-Each ``bench_e*.py`` regenerates one derived table/figure (DESIGN.md
-section 3): it times the experiment via pytest-benchmark, prints the
+Each ``bench_e*.py`` regenerates one derived table/figure (one module of
+:mod:`repro.eval.experiments`): it times the experiment via pytest-benchmark, prints the
 experiment's tables (the rows the reproduction reports), and asserts the
 claim-level shape checks.
 

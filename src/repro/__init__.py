@@ -14,7 +14,7 @@ envisions:
   perspectives: relatedness, transparency, diversity, fairness and anonymity
   (:mod:`repro.recommender`, :mod:`repro.provenance`, :mod:`repro.privacy`),
 * and an evaluation framework regenerating the derived experiment suite
-  documented in ``DESIGN.md`` (:mod:`repro.eval`).
+  (:mod:`repro.eval`).
 
 Quickstart
 ----------

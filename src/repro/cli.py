@@ -40,30 +40,29 @@ Subcommands::
                           [--tenant NAME] [--workers W] [--shards S]
                           [--replicas R] [-k K] [--persist]
                           [--rollup-bytes B] [--rollup-records N]
-                          [--async] [--events-interval S]
-                          [--max-connections N] [--alert-p99-ms MS]
-                          [--alert-queue-depth N] [--alert-log-bytes B]
+                          [--events-interval S] [--max-connections N]
+                          [--alert-p99-ms MS] [--alert-queue-depth N]
+                          [--alert-log-bytes B]
         serve concurrent JSON recommendation requests over HTTP.  The KB
         becomes one tenant of a :mod:`repro.service`
         ``RecommendationService`` (thread worker pool + admission batching
         + snapshot-consistent reads); endpoints are ``GET /health``,
         ``GET /tenants``, ``GET /stats`` (the frozen, versioned ops
         snapshot), ``GET /alerts`` (threshold evaluation over the same
-        snapshot, configured with the ``--alert-*`` flags),
-        ``POST /recommend`` and ``POST /commit`` (see
-        :mod:`repro.service.http` and ``docs/http-api.md``).  ``--port 0``
-        picks an ephemeral port and prints it.
+        snapshot, configured with the ``--alert-*`` flags), ``GET
+        /events`` (an SSE stream of the same snapshot, one ``event:
+        stats`` frame per ``--events-interval`` seconds plus an ``event:
+        alerts`` frame on ticks where the thresholds fire),
+        ``POST /recommend`` (with a strong ``ETag`` and ``If-None-Match``
+        304s) and ``POST /commit`` (see ``docs/http-api.md``).  ``--port
+        0`` picks an ephemeral port and prints it.
 
-        **Async front-end** (``--async``, single-process topology only):
-        the same endpoints served from one asyncio event loop
-        (:mod:`repro.service.aio`) instead of a thread per connection --
-        responses are byte-identical, scoring still runs on the admission
-        worker threads, but an idle keep-alive connection costs a
+        Every topology is served by the same front-end
+        (:mod:`repro.service.aio`): one asyncio event loop parses,
+        routes and writes, so an idle keep-alive connection costs a
         coroutine instead of an OS thread (``--max-connections`` caps the
-        open-connection count).  Adds the SSE ``GET /events`` ops stream:
-        one ``event: stats`` frame per ``--events-interval`` seconds
-        carrying exactly the ``/stats`` payload, plus an ``event: alerts``
-        frame on ticks where the thresholds fire.
+        open-connection count); scoring runs on the admission worker
+        threads of whichever process owns the tenant.
 
         ``--kb`` accepts either on-disk layout (auto-detected).  A binary
         store boots O(root + deltas) -- mmap decode, lazy snapshots, the
@@ -291,23 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
              "replica process runs its own cache",
     )
     serve.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="serve from one asyncio event loop instead of a thread per "
-             "connection: same endpoints and byte-identical JSON, idle "
-             "keep-alive connections cost a coroutine instead of a thread, "
-             "and the SSE GET /events ops stream becomes available "
-             "(single-process topology only)",
-    )
-    serve.add_argument(
-        "--events-interval", type=float, default=None, metavar="SECONDS",
-        help="with --async: default publish cadence of the SSE /events "
-             "stream (default: 1.0; subscribers may override per "
-             "connection with ?interval=)",
+        "--events-interval", type=float, default=1.0, metavar="SECONDS",
+        help="default publish cadence of the SSE /events stream (default: "
+             "1.0; subscribers may override per connection with ?interval=)",
     )
     serve.add_argument(
         "--max-connections", type=int, default=4096, metavar="N",
-        help="with --async: simultaneous open connections the event loop "
-             "accepts before answering 503 (default: 4096)",
+        help="simultaneous open connections the front-end accepts before "
+             "answering 503 (default: 4096)",
     )
     serve.add_argument(
         "--alert-p99-ms", type=float, metavar="MS",
@@ -518,16 +508,18 @@ def _cmd_compact_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.io.store import BinaryKBStore
     from repro.recommender.engine import EngineConfig
     from repro.service import (
         AlertThresholds,
+        AsyncServiceServer,
         AutoscaleController,
         RecommendationService,
         ServiceConfig,
         ShardSupervisor,
     )
-    from repro.service.http import make_router_server, make_server
 
     if args.shards < 0:
         raise SystemExit(f"error: --shards must be >= 0, got {args.shards}")
@@ -542,16 +534,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: --autoscale-interval only applies with "
             "--replicas-min/--replicas-max"
-        )
-    if args.use_async and (args.shards or args.replicas or autoscale):
-        raise SystemExit(
-            "error: --async is single-process only (the sharded router "
-            "scales with processes, not connections)"
-        )
-    if args.events_interval is not None and not args.use_async:
-        raise SystemExit(
-            "error: --events-interval only applies with --async "
-            "(the threaded front-end has no SSE /events stream)"
         )
     if (args.replicas or autoscale) and not args.shards:
         # Replicas live in the sharded topology; a single shard is the
@@ -598,9 +580,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
+    controller = None
     if args.shards:
         # Sharded topology: worker processes score, this process routes.
-        supervisor = ShardSupervisor(
+        backend = ShardSupervisor(
             shards=args.shards, config=config, replicas=args.replicas
         )
         if is_binary:
@@ -611,48 +594,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             payload = store.bootstrap_payload()
             kb_name, version_ids = store.describe(payload)
             tenant_name = args.tenant or kb_name
-            shard = supervisor.add_tenant_encoded(tenant_name, payload, users)
+            shard = backend.add_tenant_encoded(tenant_name, payload, users)
             n_versions = len(version_ids)
         else:
             kb = load_kb(kb_dir)
             tenant_name = args.tenant or kb.name
-            shard = supervisor.add_tenant(tenant_name, kb, users)
+            shard = backend.add_tenant(tenant_name, kb, users)
             n_versions = len(kb)
-        supervisor.start()
-        server = make_router_server(
-            supervisor, host=args.host, port=args.port, thresholds=thresholds
-        )
-        host, port = server.server_address[:2]
         replicated = f" (+{args.replicas} read replicas)" if args.replicas else ""
-        print(
+        banner = (
             f"routing tenant {tenant_name!r} ({n_versions} versions, {len(users)} "
-            f"users) -> shard {shard} of {args.shards}{replicated} "
-            f"on http://{host}:{port}"
+            f"users) -> shard {shard} of {args.shards}{replicated}"
         )
-        controller = None
-        if autoscale:
-            try:
-                controller = AutoscaleController(
-                    supervisor,
-                    min_replicas=args.replicas_min,
-                    max_replicas=args.replicas_max,
-                    interval_s=args.autoscale_interval
-                    if args.autoscale_interval is not None
-                    else 2.0,
-                )
-            except ValueError as exc:
-                supervisor.close()
-                raise SystemExit(f"error: {exc}") from None
-            controller.start()
-            print(
-                f"autoscaling replicas in [{args.replicas_min}, "
-                f"{args.replicas_max}] every {controller.interval_s:g}s"
-            )
-
-        def closer() -> None:
-            if controller is not None:
-                controller.stop()
-            supervisor.close()
     else:
         store = None
         if args.persist:
@@ -665,67 +618,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             kb = store.load()
         else:
             kb = load_kb(kb_dir)
-        tenant_name = args.tenant or kb.name
-        service = RecommendationService(config)
-        tenant = service.add_tenant(tenant_name, kb, users, store=store)
-        persisting = " [persisting commits]" if args.persist else ""
-        if args.use_async:
-            return _serve_async(args, service, tenant, kb, users, persisting, thresholds)
-        server = make_server(
-            service, host=args.host, port=args.port, thresholds=thresholds
-        )
-        host, port = server.server_address[:2]
-        print(
+        backend = RecommendationService(config)
+        tenant = backend.add_tenant(args.tenant or kb.name, kb, users, store=store)
+        banner = (
             f"serving tenant {tenant.name!r} ({len(kb)} versions, "
-            f"{len(users)} users) on http://{host}:{port}{persisting}"
+            f"{len(users)} users)"
         )
-        closer = service.close
-    print(
-        "endpoints: GET /health /tenants /stats /alerts; POST /recommend /commit"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
-        closer()
-    return 0
-
-
-def _serve_async(args, service, tenant, kb, users, persisting, thresholds) -> int:
-    """Run the asyncio front-end in the main thread's event loop.
-
-    Scoring still happens on the service's admission worker threads; the
-    loop only parses, admits (bridging the admission future with
-    ``asyncio.wrap_future``) and writes responses -- which is what lets
-    one process hold thousands of idle keep-alive connections.
-    """
-    import asyncio
-
-    from repro.service import AsyncServiceServer
-
+    persisting = " [persisting commits]" if args.persist else ""
     try:
         server = AsyncServiceServer(
-            service,
+            backend,
             host=args.host,
             port=args.port,
             thresholds=thresholds,
-            events_interval=(
-                1.0 if args.events_interval is None else args.events_interval
-            ),
+            events_interval=args.events_interval,
             max_connections=args.max_connections,
         )
     except ValueError as exc:
-        service.close()
+        backend.close()
         raise SystemExit(f"error: {exc}") from None
+    if args.shards:
+        backend.start()
+        if autoscale:
+            try:
+                controller = AutoscaleController(
+                    backend,
+                    min_replicas=args.replicas_min,
+                    max_replicas=args.replicas_max,
+                    interval_s=args.autoscale_interval
+                    if args.autoscale_interval is not None
+                    else 2.0,
+                )
+            except ValueError as exc:
+                backend.close()
+                raise SystemExit(f"error: {exc}") from None
 
-    async def _run() -> None:
+    async def run() -> None:
+        # The loop runs in the main thread; scoring happens on the
+        # admission workers of whichever process owns the tenant.
         host, port = await server.start()
-        print(
-            f"serving tenant {tenant.name!r} ({len(kb)} versions, "
-            f"{len(users)} users) on http://{host}:{port}{persisting} [async]"
-        )
+        print(f"{banner} on http://{host}:{port}{persisting}")
+        if controller is not None:
+            controller.start()
+            print(
+                f"autoscaling replicas in [{args.replicas_min}, "
+                f"{args.replicas_max}] every {controller.interval_s:g}s"
+            )
         print(
             "endpoints: GET /health /tenants /stats /alerts /events; "
             "POST /recommend /commit"
@@ -733,11 +671,14 @@ def _serve_async(args, service, tenant, kb, users, persisting, thresholds) -> in
         await server.serve_forever()
 
     try:
-        asyncio.run(_run())
+        asyncio.run(run())
     except KeyboardInterrupt:
-        print("shutting down")
+        pass  # SIGINT cancelled the loop: shut down cleanly below
     finally:
-        service.close()
+        print("shutting down")
+        if controller is not None:
+            controller.stop()
+        backend.close()
     return 0
 
 

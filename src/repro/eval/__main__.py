@@ -19,7 +19,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
-        description="Run the derived experiment suite (see DESIGN.md section 3).",
+        description="Run the derived experiment suite (one table or figure each).",
     )
     parser.add_argument(
         "experiments",

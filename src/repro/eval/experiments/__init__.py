@@ -1,1 +1,1 @@
-"""The derived experiment suite (one module per table/figure in DESIGN.md)."""
+"""The derived experiment suite (one module per derived table or figure)."""

@@ -1,7 +1,7 @@
 """E12 (Table 6): ablations of the engine's design knobs.
 
-DESIGN.md section 6 calls out two knobs whose value the other experiments
-fix: the graph-decay interest-spreading of the relatedness scorer, and the
+Two design knobs keep a fixed value in the other experiments: the
+graph-decay interest-spreading of the relatedness scorer, and the
 ``beta`` blend of the fairness-aware group selector.  This experiment
 sweeps both.
 
@@ -129,7 +129,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
         experiment_id="e12",
         title="Design-knob ablations: interest spreading and fairness beta",
         claim=(
-            "design choices called out in DESIGN.md section 6: graph-decay "
+            "design choices the other experiments fix: graph-decay "
             "interest propagation for relatedness (III.a) and the package "
             "fairness/relevance blend (III.d)"
         ),

@@ -1,12 +1,12 @@
 """The experiment harness: run, check shape, print.
 
-Each derived experiment (DESIGN.md section 3) is a module under
+Each derived experiment is a module under
 :mod:`repro.eval.experiments` exposing ``run(scale: float = 1.0) ->
 ExperimentResult``.  An :class:`ExperimentResult` carries the printable
 tables *and* machine-checkable ``shape_checks`` -- booleans asserting the
 qualitative shape the paper's claim predicts (who wins, monotonicity,
-crossovers).  EXPERIMENTS.md records these checks; the test suite asserts
-them; the benchmark harness prints the tables.
+crossovers).  The test suite asserts these checks; the benchmark harness
+prints the tables.
 """
 
 from __future__ import annotations

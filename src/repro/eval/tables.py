@@ -1,7 +1,7 @@
 """Plain-text tables: what the benchmark harness prints per experiment.
 
 No third-party table library: a small fixed-width renderer with typed cell
-formatting, so benchmark output diffs cleanly and EXPERIMENTS.md can embed
+formatting, so benchmark output diffs cleanly and a document can embed
 the rendered tables verbatim.
 """
 

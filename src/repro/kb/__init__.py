@@ -1,9 +1,9 @@
 """Knowledge-base substrate: terms, triples, graphs, schema views, versions.
 
-This subpackage is S1-S4 of the system inventory in DESIGN.md: an RDF-style
-triple store with pattern indexes, a schema view exposing classes /
-properties / subsumption / instances, a linear version chain, and N-Triples
-round-tripping.
+This subpackage is the substrate layer of ``docs/architecture.md``: an
+RDF-style triple store with pattern indexes, a schema view exposing
+classes / properties / subsumption / instances, a linear version chain,
+and N-Triples round-tripping.
 """
 
 from repro.kb.archive import (

@@ -30,13 +30,14 @@ thread-safe subsystem that actually serves that workload:
   already-computed measure artefacts, and
   :class:`~repro.service.autoscale.AutoscaleController` adds/retires/
   respawns them at runtime from the per-tenant read share,
-* :mod:`repro.service.http` -- stdlib-only JSON front-ends
-  (``python -m repro serve``): the single-process server and the sharded
-  thin router (``--shards N``, ``--replicas R``),
-* :mod:`repro.service.aio` -- the asyncio front-end (``serve --async``):
-  the same JSON API from one event-loop thread, so idle keep-alive
-  connections cost a coroutine instead of a thread, plus the SSE
-  ``/events`` stream only an event loop can afford,
+* :mod:`repro.service.aio` -- the HTTP front-end of every topology
+  (``python -m repro serve``, with or without ``--shards N`` /
+  ``--replicas R``): the JSON API from one asyncio event loop over a
+  service or a shard supervisor, so idle keep-alive connections cost a
+  coroutine instead of a thread, plus the SSE ``/events`` stream,
+* :mod:`repro.service.http` -- the request semantics that front-end and
+  the shard processes share (error taxonomy, payload validation, ETag
+  matching, the ``/commit`` write path),
 * :mod:`repro.service.metrics` -- the ops plane: the lock-light
   per-tenant counter/latency aggregator behind the frozen, versioned
   ``GET /stats`` payload, and the threshold rules behind ``GET /alerts``,
@@ -50,8 +51,8 @@ thread-safe subsystem that actually serves that workload:
   coherence traffic.
 
 Results are bit-identical to serial, single-threaded execution: batching,
-concurrency, sharding, replication and the choice of front-end change
-cost, never values (the service test suite asserts exactly that, in every
+concurrency, sharding, replication and the HTTP transport change cost,
+never values (the service test suite asserts exactly that, in every
 topology).
 """
 

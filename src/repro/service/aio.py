@@ -1,69 +1,76 @@
-"""The asyncio front-end: same JSON API, event-loop connection handling.
+"""The HTTP front-end: the JSON API on one asyncio event loop, every topology.
 
-The threaded front-end (:mod:`repro.service.http`) spends one OS thread
-per *connection* -- fine for a handful of busy clients, ruinous for a
-fleet of mostly-idle keep-alive connections (dashboards, health checkers,
-connection pools sized for peak): a thousand idle sockets cost a thousand
-stacks before the first request arrives.  :class:`AsyncServiceServer`
-serves the identical endpoints from a single event-loop thread, so an
-idle connection costs one socket and a parser coroutine, nothing more.
+:class:`AsyncServiceServer` is the only HTTP front-end ``repro serve``
+starts.  Its backend is either an in-process
+:class:`~repro.service.service.RecommendationService` or, in the sharded
+and replicated topologies, a :class:`~repro.service.sharding.ShardSupervisor`;
+the server calls the same five methods on both and never asks which one
+it holds:
+
+* ``recommend_cached_async(tenant, user, k, old, new)`` -- a
+  ``concurrent.futures.Future`` of the response body bytes and their
+  strong ETag (the single-process service computes or looks them up; the
+  supervisor relays what the owning shard or a replica produced);
+* ``commit_request(payload)``, ``stats()``, ``tenants()`` and
+  ``health()`` -- blocking calls (a pipe round-trip, the tenant write
+  lock, N-Triples parsing), so they run off the loop: commits on the
+  server's own commit pool, the rest in the loop's default executor, so
+  commits queued behind a write lock or a stalled shard never hold the
+  threads ``/health``, ``/stats`` and ``/events`` answer from.
 
 The split of labour is deliberate:
 
 * **Connection handling is async.**  Accepting, parsing, keep-alive
-  waiting and response writing all run on the event loop; ten thousand
-  idle connections are ten thousand paused coroutines.
-* **Scoring stays on the admission queue's worker threads.**  The loop
-  never scores: ``/recommend`` admits through the same
-  :meth:`~repro.service.service.RecommendationService.recommend_async`
-  as every other caller and bridges the returned
-  ``concurrent.futures.Future`` onto the loop with
-  :func:`asyncio.wrap_future` -- so async and threaded traffic coalesce
-  into the *same* batches and produce byte-identical JSON (the
-  regression gate asserts exactly that).  ``/commit`` parses N-Triples
-  and commits in the default executor for the same reason: a large
-  curator upload must not stall every other connection's parser.
+  waiting and response writing all run on the event loop, so an idle
+  keep-alive connection (dashboards, health checkers, connection pools
+  sized for peak) costs one socket and a parked coroutine, never a
+  thread.
+* **Scoring stays off the loop.**  ``/recommend`` admits through the
+  backend's ``recommend_cached_async`` and bridges the returned future
+  onto the loop with :func:`asyncio.wrap_future`; the loop itself never
+  scores, parses N-Triples or waits on a lock.
 
-On top of the mirrored API sits the ops plane only an event loop can
-afford:
+Endpoints (``docs/http-api.md`` has the full contract):
 
+``GET /health``, ``GET /tenants``, ``GET /stats``
+    liveness, tenant summaries and the frozen ops snapshot
+    (:data:`repro.service.metrics.STATS_VERSION`); the sharded topology
+    reports per-shard stats and shard/replica liveness.
+``GET /alerts``
+    one-shot threshold evaluation over the same ``/stats`` payload
+    (:func:`repro.service.metrics.evaluate_alerts`).
 ``GET /events``
     a Server-Sent Events stream (``text/event-stream``) publishing the
-    frozen ``/stats`` payload every ``interval`` seconds as an
-    ``event: stats`` frame (the SSE ``id:`` is the tick sequence
-    number), plus an ``event: alerts`` frame on ticks where the
-    configured thresholds fire.  ``?interval=`` overrides the cadence
-    per subscriber; ``?count=`` ends the stream after that many ticks
-    (handy for curl and tests).  One subscriber costs one coroutine --
-    the threaded server refuses this endpoint precisely because there
-    it would cost a thread.
-``GET /alerts``
-    one-shot threshold evaluation
-    (:func:`repro.service.metrics.evaluate_alerts`), identical to the
-    threaded front-end's.
+    ``/stats`` payload every ``interval`` seconds as an ``event: stats``
+    frame (the SSE ``id:`` is the tick sequence number), plus an
+    ``event: alerts`` frame on ticks where the configured thresholds
+    fire.  ``?interval=`` overrides the cadence per subscriber;
+    ``?count=`` ends the stream after that many ticks.  One subscriber
+    costs one coroutine.
+``POST /recommend``
+    the package's JSON bytes with a strong ``ETag``; an ``If-None-Match``
+    match is answered ``304 Not Modified`` with no body.
+``POST /commit``
+    N-Triples changes committed to the tenant's latest version (by the
+    owning shard in the sharded topology).
 
 Shutdown closes the listener, then every live connection; in-flight
-admitted requests still resolve (the admission queue drains on service
+admitted requests still resolve (the admission queue drains on backend
 close, not server close).
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.http import (
-    etag_matches,
-    handle_commit,
-    map_error,
-    parse_recommend_payload,
-)
+from repro.service.http import etag_matches, map_error, parse_recommend_payload
 from repro.service.metrics import AlertThresholds, evaluate_alerts
-from repro.service.service import RecommendationService
 
 #: Reason phrases for the handful of statuses this front-end emits.
 _REASONS = {
@@ -93,23 +100,36 @@ def sse_frame(event: str, seq: int, payload: Dict) -> bytes:
     return f"event: {event}\nid: {seq}\ndata: {body}\n\n".encode("utf-8")
 
 
+def _keep_alive(version: str, connection: str) -> bool:
+    """Does the connection stay open after this response?
+
+    HTTP/1.1 keeps it unless the client sent ``Connection: close``;
+    HTTP/1.0 closes it unless the client asked for ``keep-alive``.
+    """
+    tokens = {token.strip() for token in connection.lower().split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
+
+
 class AsyncServiceServer:
-    """Single-event-loop HTTP front-end over a :class:`RecommendationService`.
+    """Single-event-loop HTTP front-end over a service or a shard supervisor.
 
-    Speaks the threaded front-end's exact JSON API (``/health``,
-    ``/tenants``, ``/stats``, ``/alerts``, ``/recommend``, ``/commit``)
-    plus the SSE ``/events`` stream.  Construct, ``await start()``, then
-    ``await serve_forever()`` -- or use :class:`AsyncServerThread` to run
-    it next to synchronous code (the CLI, the tests, the benchmark).
+    Serves ``/health``, ``/tenants``, ``/stats``, ``/alerts``, ``/events``,
+    ``/recommend`` and ``/commit`` from ``backend`` (see the module
+    docstring for the five methods it must provide).  Construct,
+    ``await start()``, then ``await serve_forever()`` -- or use
+    :class:`AsyncServerThread` to run it next to synchronous code (the
+    tests, the benchmark).
 
-    ``max_connections`` bounds simultaneous open connections (the async
-    analogue of the thread budget): connection ``max_connections + 1``
-    is answered 503 and closed instead of degrading everyone.
+    ``max_connections`` bounds simultaneous open connections: connection
+    ``max_connections + 1`` is answered 503 and closed instead of
+    degrading everyone.
     """
 
     def __init__(
         self,
-        service: RecommendationService,
+        backend,
         host: str = "127.0.0.1",
         port: int = 0,
         thresholds: Optional[AlertThresholds] = None,
@@ -120,7 +140,7 @@ class AsyncServiceServer:
             raise ValueError(f"events_interval must be > 0, got {events_interval}")
         if max_connections < 1:
             raise ValueError(f"max_connections must be >= 1, got {max_connections}")
-        self.service = service
+        self.backend = backend
         self.host = host
         self.port = port
         self.thresholds = thresholds or AlertThresholds()
@@ -129,6 +149,10 @@ class AsyncServiceServer:
         self.address: Tuple[str, int] = (host, port)
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: "set[asyncio.StreamWriter]" = set()
+        # Threads start on first use, so idle connections still cost none.
+        self._commit_pool = concurrent.futures.ThreadPoolExecutor(
+            thread_name_prefix="repro-commit"
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -157,6 +181,7 @@ class AsyncServiceServer:
         for writer in list(self._writers):
             writer.close()
         self._writers.clear()
+        self._commit_pool.shutdown(wait=False)
 
     @property
     def connections(self) -> int:
@@ -191,6 +216,12 @@ class AsyncServiceServer:
             self._writers.discard(writer)
             writer.close()
 
+    async def _reject(self, writer: asyncio.StreamWriter, message: str) -> bool:
+        """Answer a malformed request 400 and close the connection."""
+        writer.write(self._response(400, {"error": message}, close=True))
+        await writer.drain()
+        return False
+
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
@@ -203,33 +234,32 @@ class AsyncServiceServer:
         try:
             request_line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError):
-            writer.write(self._response(400, {"error": "request line too long"}, close=True))
-            await writer.drain()
-            return False
+            return await self._reject(writer, "request line too long")
         if not request_line:
             return False  # client closed the idle connection
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            writer.write(self._response(400, {"error": "malformed request line"}, close=True))
-            await writer.drain()
-            return False
-        method, target, _version = parts
+            return await self._reject(writer, "malformed request line")
+        method, target, version = parts
 
         headers: Dict[str, str] = {}
         head_bytes = len(request_line)
         while True:
-            line = await reader.readline()
+            try:
+                # A single line past the stream limit (64 KiB) raises
+                # instead of returning: same answer as a long head.
+                line = await reader.readline()
+            except (ValueError, asyncio.LimitOverrunError):
+                return await self._reject(writer, "headers too large")
             head_bytes += len(line)
             if head_bytes > _MAX_HEADER_BYTES:
-                writer.write(self._response(400, {"error": "headers too large"}, close=True))
-                await writer.drain()
-                return False
+                return await self._reject(writer, "headers too large")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
-        keep_alive = headers.get("connection", "").lower() != "close"
+        keep_alive = _keep_alive(version, headers.get("connection", ""))
 
         body = b""
         length = headers.get("content-length")
@@ -239,10 +269,16 @@ class AsyncServiceServer:
                 if n < 0:
                     raise ValueError
             except ValueError:
-                writer.write(self._response(400, {"error": "bad Content-Length"}, close=True))
-                await writer.drain()
-                return False
+                return await self._reject(writer, "bad Content-Length")
             if n:
+                if (
+                    version == "HTTP/1.1"
+                    and headers.get("expect", "").lower() == "100-continue"
+                ):
+                    # The client holds the body back until it sees this
+                    # interim response (curl waits a second for it).
+                    writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    await writer.drain()
                 try:
                     body = await reader.readexactly(n)
                 except asyncio.IncompleteReadError:
@@ -256,8 +292,8 @@ class AsyncServiceServer:
             return False  # the stream owns the connection until it ends
         if method == "POST" and path == "/recommend":
             # Handled outside _dispatch: the read path needs the request
-            # headers (If-None-Match) and writes pre-encoded cached bytes
-            # instead of re-serialising a dict.
+            # headers (If-None-Match) and writes the backend's
+            # pre-encoded bytes instead of re-serialising a dict.
             writer.write(
                 await self._recommend_raw(body, headers, close=not keep_alive)
             )
@@ -270,26 +306,35 @@ class AsyncServiceServer:
 
     # -- routing ------------------------------------------------------------------
 
+    @staticmethod
+    async def _off_loop(fn: Callable, *args, executor=None):
+        """Run a blocking backend call in ``executor`` (default: the loop's)."""
+        return await asyncio.get_running_loop().run_in_executor(executor, fn, *args)
+
     async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, Dict]:
         """Route one plain (non-SSE) request -> ``(status, JSON payload)``."""
-        service = self.service
+        backend = self.backend
         try:
             if method == "GET":
                 if path == "/health":
-                    return 200, {"status": "ok", "tenants": len(service.registry)}
+                    return 200, await self._off_loop(backend.health)
                 if path == "/tenants":
-                    return 200, {"tenants": service.tenants()}
+                    return 200, {"tenants": await self._off_loop(backend.tenants)}
                 if path == "/stats":
-                    return 200, service.stats()
+                    return 200, await self._off_loop(backend.stats)
                 if path == "/alerts":
-                    return 200, evaluate_alerts(service.stats(), self.thresholds)
+                    stats = await self._off_loop(backend.stats)
+                    return 200, evaluate_alerts(stats, self.thresholds)
                 return 404, {"error": f"unknown path: {path}"}
             if method == "POST":
                 if path == "/commit":
-                    return 200, await self._commit(self._decode_body(body))
+                    payload = self._decode_body(body)
+                    return 200, await self._off_loop(
+                        backend.commit_request, payload, executor=self._commit_pool
+                    )
                 return 404, {"error": f"unknown path: {path}"}
             return 404, {"error": f"unsupported method: {method}"}
-        except Exception as exc:  # same taxonomy as the threaded front-end
+        except Exception as exc:  # one failure taxonomy for every endpoint
             status, message = map_error(exc)
             return status, {"error": message}
 
@@ -308,40 +353,35 @@ class AsyncServiceServer:
         """One ``/recommend`` -> complete wire bytes (200, 304 or error).
 
         :func:`asyncio.wrap_future` is the whole bridge: the admission
-        workers (or a cache hit, immediately) resolve the
+        workers or the shard pipe's reader thread resolve the
         ``concurrent.futures.Future`` from their threads and the loop
-        wakes this coroutine.  ``wait_for`` applies the same
-        ``request_timeout_s`` deadline as the blocking path; on timeout
-        it cancels the wrapped future (which both the queue and the
-        cache's fill path tolerate) and the shared error mapping turns it
-        into the same 504.  The 200 body is the cached pre-encoded bytes
-        with their strong ``ETag``; an ``If-None-Match`` match answers
-        304 with no body -- byte-identical semantics to the threaded
-        front-end.
+        wakes this coroutine (a cache hit is already resolved).
+        ``wait_for`` applies the backend's ``request_timeout_s``; on
+        timeout it cancels the wrapped future (which the queue, the
+        cache's fill path and the pipe client all tolerate) and the
+        shared error mapping turns it into a 504.  The 200 body is the
+        backend's pre-encoded bytes with their strong ``ETag``; an
+        ``If-None-Match`` match answers 304 with no body.
         """
+        backend = self.backend
         try:
             tenant, user, k, old, new = parse_recommend_payload(self._decode_body(body))
-            future = self.service.recommend_cached_async(
-                tenant, user, k=k, old_id=old, new_id=new
-            )
-            response = await asyncio.wait_for(
-                asyncio.wrap_future(future),
-                timeout=self.service.config.request_timeout_s,
-            )
+            future = backend.recommend_cached_async(tenant, user, k, old, new)
+            if not future.done():
+                # A cache hit arrives resolved: answering it without the
+                # bridge saves event-loop passes, and each pass may wait
+                # a whole GIL switch interval while a fill is scoring.
+                await asyncio.wait_for(
+                    asyncio.wrap_future(future),
+                    timeout=backend.config.request_timeout_s,
+                )
+            response = future.result()
         except Exception as exc:
             status, message = map_error(exc)
             return self._response(status, {"error": message}, close=close)
         if etag_matches(headers.get("if-none-match"), response.etag):
             return self._raw_response(304, b"", response.etag, close)
         return self._raw_response(200, response.body, response.etag, close)
-
-    async def _commit(self, payload: Dict) -> Dict:
-        """Parse + commit off-loop: N-Triples parsing is CPU-bound and the
-        commit itself takes the tenant write lock -- neither may stall the
-        event loop, so the whole threaded-front-end handler runs in the
-        default executor and the loop just awaits it."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, handle_commit, self.service, payload)
 
     # -- SSE ----------------------------------------------------------------------
 
@@ -379,7 +419,7 @@ class AsyncServiceServer:
         )
         seq = 0
         while count is None or seq < count:
-            stats = self.service.stats()
+            stats = await self._off_loop(self.backend.stats)
             frame = sse_frame("stats", seq, stats)
             alerts = evaluate_alerts(stats, self.thresholds)
             if alerts["status"] == "alerting":
@@ -408,8 +448,8 @@ class AsyncServiceServer:
 
     @staticmethod
     def _response(status: int, payload: Dict, close: bool = False) -> bytes:
-        """Serialise one JSON response (``json.dumps`` exactly as the
-        threaded front-end does, so bodies are byte-identical)."""
+        """Serialise one JSON response with a bare ``json.dumps`` (the
+        serialisation every reference replay in the tests uses)."""
         body = json.dumps(payload).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
@@ -436,11 +476,10 @@ class _swallow_disconnect:
 class AsyncServerThread:
     """Run an :class:`AsyncServiceServer` on a dedicated event-loop thread.
 
-    The seam between the async front-end and synchronous callers: the
-    tests, the benchmark and anything embedding the server next to
-    blocking code use this instead of owning a loop.  (The CLI's
-    ``serve --async`` runs the loop in the *main* thread instead -- see
-    ``repro.cli``.)
+    The seam between the front-end and synchronous callers: the tests,
+    the benchmark and anything embedding the server next to blocking
+    code use this instead of owning a loop.  (``repro serve`` runs the
+    loop in the *main* thread instead -- see ``repro.cli``.)
 
     One background thread runs ``asyncio.run`` around the server;
     :meth:`start` blocks until the listener is bound and returns the
@@ -448,8 +487,8 @@ class AsyncServerThread:
     Usable as a context manager.
     """
 
-    def __init__(self, service: RecommendationService, **kwargs) -> None:
-        self._service = service
+    def __init__(self, backend, **kwargs) -> None:
+        self._backend = backend
         self._kwargs = kwargs
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
@@ -476,7 +515,7 @@ class AsyncServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self.server = AsyncServiceServer(self._service, **self._kwargs)
+        self.server = AsyncServiceServer(self._backend, **self._kwargs)
         try:
             self.address = await self.server.start()
         except BaseException as exc:

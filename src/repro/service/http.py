@@ -1,67 +1,18 @@
-"""Stdlib-only JSON front-ends over the serving layer.
+"""Request semantics of the JSON HTTP API, shared by every process.
 
-Two servers share one handler toolbox (no third-party dependencies):
+The wire contract (endpoints, status codes, bodies) is served by one
+front-end, :class:`repro.service.aio.AsyncServiceServer`, in every
+topology; ``docs/http-api.md`` documents it.  This module holds the
+parts of it that do not depend on the transport or the topology:
 
-* :class:`ServiceHTTPServer` -- the single-process front-end: one
-  :class:`ThreadingHTTPServer` (one thread per connection) over an
-  in-process :class:`~repro.service.service.RecommendationService`.
-* :class:`ShardRouterHTTPServer` -- the sharded front-end: the same
-  endpoints, but the handler is a *thin router* that forwards each request
-  to the shard process owning its tenant (see
-  :mod:`repro.service.sharding`); the router parses just enough JSON to
-  find the tenant name and never touches graphs, N-Triples or scoring.
-  When the supervisor runs read replicas, ``/recommend`` for a replicated
-  tenant round-robins across the owner and its live replicas
-  (:meth:`~repro.service.sharding.ShardSupervisor.forward` routes reads;
-  ``/commit`` always goes to the owner) -- bit-identical responses either
-  way.
-
-Endpoints (identical in both topologies):
-
-``GET /health``
-    liveness + tenant count (the sharded server adds shard liveness and,
-    when replicas are configured, a ``replicas`` summary with configured
-    vs live counts).
-``GET /tenants``
-    tenant summaries (versions, users).
-``GET /stats``
-    the frozen, versioned ops snapshot (see
-    :data:`repro.service.metrics.STATS_VERSION` and ``docs/http-api.md``):
-    admission/batching counters plus per-tenant serving counters, rolling
-    latency percentiles and persistence gauges (per shard in the sharded
-    topology, which reports each shard's raw admission counters).
-``GET /alerts``
-    threshold evaluation over the same ``/stats`` payload
-    (:func:`repro.service.metrics.evaluate_alerts`): tail-latency budget,
-    admission backlog, commit-log-near-roll-up, and -- in the sharded
-    topology -- replica degradation (live < configured, no threshold
-    flag needed).
-``GET /events``
-    Server-Sent Events stream of periodic ``/stats`` payloads -- the
-    async front-end only (:mod:`repro.service.aio`); this threaded server
-    answers 404 with a hint, because an SSE subscriber would pin one
-    thread for its whole lifetime here.
-``POST /recommend``
-    ``{"tenant": ..., "user": ..., "k"?: ..., "old"?: ..., "new"?: ...}`` ->
-    the recommendation package as JSON (same layout as
-    :func:`repro.io.storage.package_to_dict`).  The response carries a
-    strong ``ETag`` (SHA-256 of the exact body bytes); a request whose
-    ``If-None-Match`` header matches it is answered ``304 Not Modified``
-    with no body -- cheap revalidation for pollers, valid precisely
-    because responses over committed version pairs are bit-identical.
-    With the response cache enabled (``serve --cache-entries`` /
-    ``--cache-bytes``) hits are served as the pre-encoded cached bytes;
-    enabled or not, the bytes on the wire are identical.
-``POST /commit``
-    ``{"tenant": ..., "added"?: "<N-Triples>", "deleted"?: "<N-Triples>",
-    "version_id"?: ..., "metadata"?: {...}}`` -> the committed version.
-    The curator-side write path: changes are applied to the tenant's
-    latest version under its write lock while readers keep scoring the
-    pair they were admitted on.  In the sharded topology the N-Triples
-    body is forwarded verbatim and parsed by the owning shard.
-
-Concurrent requests batch through the (per-shard) admission queue exactly
-as Python-API callers do; the HTTP layer adds no state of its own.
+* :func:`map_error` -- one failure taxonomy -> ``(status, message)``;
+* :func:`parse_recommend_payload` -- validate a ``POST /recommend`` body;
+* :func:`etag_matches` -- the ``If-None-Match`` comparison behind 304s;
+* :func:`handle_commit` / :func:`apply_commit` -- the ``POST /commit``
+  write path: parse the N-Triples changes into private dictionaries,
+  then commit them under the tenant write lock.  A single-process
+  service runs it in-process; in the sharded topology the body is
+  forwarded verbatim and the owning shard process runs it.
 """
 
 from __future__ import annotations
@@ -69,10 +20,8 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.io.storage import package_to_dict
 from repro.kb.errors import KnowledgeBaseError
 from repro.kb.ntriples import parse_graph
 from repro.kb.triples import Triple
@@ -85,27 +34,23 @@ from repro.service.errors import (
     UnknownUserError,
     error_message,
 )
-from repro.service.metrics import AlertThresholds, evaluate_alerts
-from repro.service.service import RecommendationService
 
-if TYPE_CHECKING:  # sharding imports this module; annotation only here.
-    from repro.service.sharding import ShardSupervisor
+if TYPE_CHECKING:  # service.py imports this module; annotation only here.
+    from repro.service.service import RecommendationService
 
 
-# -- request semantics (shared by the in-process handler and the shards) -----------
-
-
-#: Overload timeouts, whatever layer raised them: the blocking front-end's
-#: Future.result, the async front-end's asyncio.wait_for (a distinct class
-#: until Python 3.11 aliased it to the builtin), or a hung shard fan-out.
+#: Overload timeouts, whatever layer raised them: a blocking
+#: Future.result, the front-end's asyncio.wait_for (a distinct class until
+#: Python 3.11 aliased it to the builtin), or a hung shard fan-out.
 TIMEOUT_ERRORS = (TimeoutError, FuturesTimeoutError, asyncio.TimeoutError)
 
 
 def map_error(exc: BaseException) -> Tuple[int, str]:
     """One request-failure taxonomy -> ``(HTTP status, message)``.
 
-    Shared by every front-end (threaded, router, async), so the same
-    failure produces byte-identical error JSON on all of them:
+    Shard and replica processes re-raise the same exception classes on
+    the router side, so the same failure produces byte-identical error
+    JSON in every topology:
 
     * 404 -- the client named a tenant/user that does not exist;
     * 503 -- shutdown, shed under load, or a dead shard: retry elsewhere,
@@ -141,25 +86,6 @@ def parse_recommend_payload(
     if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 0):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     return tenant_name, user_id, k, payload.get("old"), payload.get("new")
-
-
-def handle_recommend(service: RecommendationService, payload: Dict) -> Dict:
-    """Serve one ``/recommend`` body against an in-process service."""
-    tenant_name, user_id, k, old, new = parse_recommend_payload(payload)
-    package = service.recommend(tenant_name, user_id, k=k, old_id=old, new_id=new)
-    return package_to_dict(package)
-
-
-def handle_recommend_cached(service: RecommendationService, payload: Dict):
-    """Serve one ``/recommend`` body -> a wire-ready ``CachedResponse``.
-
-    The front-ends' shared read path: body bytes + strong ETag, straight
-    from the response cache on a hit (singleflight fill on a miss), or
-    computed-and-serialised when the cache is disabled -- byte-identical
-    either way.
-    """
-    tenant_name, user_id, k, old, new = parse_recommend_payload(payload)
-    return service.recommend_cached(tenant_name, user_id, k=k, old_id=old, new_id=new)
 
 
 def etag_matches(header: Optional[str], etag: str) -> bool:
@@ -244,236 +170,3 @@ def handle_commit(service: RecommendationService, payload: Dict) -> Dict:
         payload.get("version_id"),
         payload.get("metadata") or {},
     )
-
-
-# -- handler plumbing --------------------------------------------------------------
-
-
-class _JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared JSON plumbing for both front-ends."""
-
-    protocol_version = "HTTP/1.1"
-    # Keep-alive clients exchange small request/response pairs on one
-    # connection; with Nagle on, every exchange after the first stalls
-    # ~40ms on the delayed-ACK interaction.  (socketserver reads this off
-    # the *handler* class in setup().)
-    disable_nagle_algorithm = True
-    # Quiet by default: the serving benchmark hammers the server and the
-    # default handler writes one stderr line per request.
-    verbose = False
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 (stdlib API)
-        if self.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(self, payload: Dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_raw_json(self, body: bytes, etag: str) -> None:
-        """Write pre-encoded JSON bytes (the cached-response hit path)."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("ETag", etag)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_not_modified(self, etag: str) -> None:
-        self.send_response(304)
-        self.send_header("ETag", etag)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_json_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("request body must be a JSON object")
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    _error_message = staticmethod(error_message)
-
-    def _dispatch_post(self, handler) -> None:
-        """Run ``handler(payload) -> Dict`` with the shared error mapping."""
-        try:
-            self._send_json(handler(self._read_json_body()))
-        except Exception as exc:
-            self._send_error_json(*map_error(exc))
-
-
-# -- single-process front-end ------------------------------------------------------
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service for its handlers."""
-
-    daemon_threads = True
-    # The stdlib default listen backlog is 5: a burst of clients opening
-    # keep-alive connections (the load generator's 32 simultaneous
-    # connects, any real fleet rollover) gets kernel RSTs before the
-    # accept loop ever sees them.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: RecommendationService,
-        thresholds: Optional[AlertThresholds] = None,
-    ) -> None:
-        super().__init__(address, ServiceRequestHandler)
-        self.service = service
-        #: The ``GET /alerts`` rules (see repro.service.metrics).
-        self.thresholds = thresholds or AlertThresholds()
-
-
-class ServiceRequestHandler(_JsonRequestHandler):
-    """Routes the six endpoints; every response body is JSON."""
-
-    server: ServiceHTTPServer
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib API)
-        service = self.server.service
-        path = self.path.partition("?")[0]
-        if path == "/health":
-            self._send_json({"status": "ok", "tenants": len(service.registry)})
-        elif path == "/tenants":
-            self._send_json({"tenants": service.tenants()})
-        elif path == "/stats":
-            self._send_json(service.stats())
-        elif path == "/alerts":
-            self._send_json(
-                evaluate_alerts(service.stats(), self.server.thresholds)
-            )
-        elif path == "/events":
-            # SSE is async-front-end-only by design: a stream here would
-            # pin one server thread per subscriber -- exactly the
-            # thread-per-connection cost `repro serve --async` removes.
-            self._send_error_json(
-                404, "SSE /events requires the async front-end (repro serve --async)"
-            )
-        else:
-            self._send_error_json(404, f"unknown path: {self.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib API)
-        service = self.server.service
-        if self.path == "/recommend":
-            # /recommend speaks conditional GET semantics: serve the
-            # cached (or freshly serialised) bytes with their strong
-            # ETag, or 304 when the client already holds them.
-            try:
-                response = handle_recommend_cached(service, self._read_json_body())
-            except Exception as exc:
-                self._send_error_json(*map_error(exc))
-                return
-            if etag_matches(self.headers.get("If-None-Match"), response.etag):
-                self._send_not_modified(response.etag)
-            else:
-                self._send_raw_json(response.body, response.etag)
-        elif self.path == "/commit":
-            self._dispatch_post(lambda payload: handle_commit(service, payload))
-        else:
-            self._send_error_json(404, f"unknown path: {self.path}")
-
-
-def make_server(
-    service: RecommendationService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    thresholds: Optional[AlertThresholds] = None,
-) -> ServiceHTTPServer:
-    """Bind a :class:`ServiceHTTPServer` (port 0 = ephemeral); caller serves."""
-    return ServiceHTTPServer((host, port), service, thresholds=thresholds)
-
-
-# -- sharded front-end (thin router) ----------------------------------------------
-
-
-class ShardRouterHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the shard supervisor for its handlers."""
-
-    daemon_threads = True
-    request_queue_size = 128  # same rationale as ServiceHTTPServer
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        supervisor: "ShardSupervisor",
-        thresholds: Optional[AlertThresholds] = None,
-    ) -> None:
-        super().__init__(address, ShardRouterRequestHandler)
-        self.supervisor = supervisor
-        #: The ``GET /alerts`` rules (see repro.service.metrics).
-        self.thresholds = thresholds or AlertThresholds()
-
-
-class ShardRouterRequestHandler(_JsonRequestHandler):
-    """The sharded topology's front-end: same endpoints, zero scoring.
-
-    ``POST`` bodies are decoded just far enough to read the tenant name,
-    then forwarded to the owning shard process -- or, for ``/recommend``
-    on a tenant with read replicas, round-robined across the owner and
-    its live replica processes (commits always hit the owner); responses
-    come back as JSON-ready dicts.  All error mapping is shared with the
-    single-process handler, plus 503 for a dead shard
-    (:class:`ShardError`); a dead *replica* is not an error -- reads
-    degrade to the remaining processes.
-    """
-
-    server: ShardRouterHTTPServer
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib API)
-        supervisor = self.server.supervisor
-        try:
-            if self.path == "/health":
-                self._send_json(supervisor.health())
-            elif self.path == "/tenants":
-                self._send_json({"tenants": supervisor.tenants()})
-            elif self.path == "/stats":
-                self._send_json(supervisor.stats())
-            elif self.path == "/alerts":
-                # evaluate_alerts flattens the router's per-shard stats
-                # shape itself and adds the threshold-free
-                # replica_degraded rule from the tenant_replicas block.
-                self._send_json(
-                    evaluate_alerts(supervisor.stats(), self.server.thresholds)
-                )
-            else:
-                self._send_error_json(404, f"unknown path: {self.path}")
-        except (ServiceClosedError, ShardError) as exc:
-            self._send_error_json(503, self._error_message(exc))
-        except (TimeoutError, FuturesTimeoutError):
-            # A hung shard missed the fan-out deadline: answer like the POST
-            # paths do instead of dropping the connection with a traceback.
-            self._send_error_json(504, "shard did not answer in time")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib API)
-        supervisor = self.server.supervisor
-        if self.path == "/recommend":
-            self._dispatch_post(
-                lambda payload: supervisor.forward("recommend", payload)
-            )
-        elif self.path == "/commit":
-            self._dispatch_post(lambda payload: supervisor.forward("commit", payload))
-        else:
-            self._send_error_json(404, f"unknown path: {self.path}")
-
-
-def make_router_server(
-    supervisor: "ShardSupervisor",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    thresholds: Optional[AlertThresholds] = None,
-) -> ShardRouterHTTPServer:
-    """Bind a :class:`ShardRouterHTTPServer` (port 0 = ephemeral); caller serves."""
-    return ShardRouterHTTPServer((host, port), supervisor, thresholds=thresholds)

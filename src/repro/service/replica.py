@@ -24,9 +24,9 @@ The segment is unlinked by the supervisor as soon as every process has
 attached: POSIX keeps the mapping alive for attached processes, so even a
 ``SIGKILL``'d topology leaves nothing behind in ``/dev/shm``.
 
-A replica process speaks the same ``(op, request_id, payload)`` pipe
-protocol as a shard (one duplex pipe, future-multiplexed), with two
-differences: commit ops are rejected (read-only), and the extra
+A replica process runs the same receive loop as a shard (one duplex
+pipe, future-multiplexed ``(op, request_id, payload)`` messages) with its
+own op table: commit ops are rejected (read-only), and the extra
 ``apply_record`` op applies a forwarded commit record *inline on the
 receive loop* -- pipe order is the cutover order, so any read the
 supervisor routes here after a commit returned is admitted on a
@@ -36,13 +36,12 @@ generation >= that commit's.
 from __future__ import annotations
 
 import json
-import threading
 from multiprocessing import shared_memory
 from typing import Optional
 
 from repro.graphtools.betweenness import normalize_betweenness
 from repro.graphtools.incremental import edge_key_set
-from repro.io.storage import feedback_from_dicts, package_to_dict, users_from_dicts
+from repro.io.storage import feedback_from_dicts, users_from_dicts
 from repro.io.store import decode_store_payload
 from repro.kb import wire
 from repro.kb.errors import VersionError
@@ -53,7 +52,7 @@ from repro.measures.structural import (
     RAW_BETWEENNESS_KEY,
     class_graph,
 )
-from repro.service.errors import ServiceError, error_message as _error_message
+from repro.service.errors import ServiceError
 from repro.service.service import RecommendationService, ServiceConfig
 
 
@@ -280,29 +279,19 @@ def _replica_main(
 ) -> None:
     """Entry point of one replica process (module-level: spawn-picklable).
 
-    Same protocol as ``_shard_main``: ``(op, request_id, payload)`` in,
-    ``(request_id, "ok", result)`` / ``(request_id, "error", kind,
-    message)`` out, first message ``("ready", replica_index, [tenant])``.
-    ``recommend`` answers asynchronously off the admission queue;
-    ``apply_record`` runs inline on the receive loop so reads admitted
-    after a record always score the post-record head.
+    Runs the shard processes' receive loop (``_run_worker`` in
+    :mod:`repro.service.sharding`) with the replica's op table: commit
+    ops are rejected (read-only) and ``apply_record`` applies a forwarded
+    commit record inline, so reads admitted after a record always score
+    the post-record head.
     """
-    # Deferred imports mirror _shard_main: http/sharding import this
-    # module's supervisor-side helpers, so top-level imports would cycle.
-    from repro.service.http import parse_recommend_payload
-    from repro.service.sharding import _error_kind
+    # Deferred import: sharding imports this module's supervisor-side
+    # helpers, so a top-level import would cycle.
+    from repro.service.sharding import _run_worker
 
     service = RecommendationService(config)
-    send_lock = threading.Lock()
 
-    def send(message: tuple) -> None:
-        with send_lock:
-            try:
-                conn.send(message)
-            except (OSError, ValueError, BrokenPipeError):  # parent is gone
-                pass
-
-    try:
+    def boot(send) -> dict:
         # The "attached" signal races ahead of the (potentially slow)
         # decode: as soon as this process holds its mapping the supervisor
         # may unlink the segment -- POSIX keeps the mapping alive -- so a
@@ -319,43 +308,8 @@ def _replica_main(
         )
         tenant = service.add_tenant(tenant_name, kb, users, feedback)
         dictionary = kb.first().graph.dictionary if len(kb) else None
-    except BaseException as exc:
-        send(("failed", replica_index, _error_kind(exc), _error_message(exc)))
-        service.close()
-        return
-    send(("ready", replica_index, [tenant_name]))
 
-    def handle(op: str, request_id: int, payload) -> None:
-        if op == "recommend":
-            name, user, k, old, new = parse_recommend_payload(payload)
-            if service.respcache is not None:
-                # Process-local response cache, exactly as on the owning
-                # shard: the replica's version ids advance only through
-                # apply_record on this very recv loop and its population
-                # is fixed at spawn, so nothing can invalidate a key from
-                # outside the process -- no coherence traffic needed.
-                cached_future = service.recommend_cached_async(name, user, k, old, new)
-
-                def _done_cached(f, request_id=request_id):
-                    try:
-                        send((request_id, "ok", package_to_dict(f.result().package)))
-                    except BaseException as exc:
-                        send(
-                            (request_id, "error", _error_kind(exc), _error_message(exc))
-                        )
-
-                cached_future.add_done_callback(_done_cached)
-                return
-            future = service.recommend_async(name, user, k, old, new)
-
-            def _done(f, request_id=request_id):
-                try:
-                    send((request_id, "ok", package_to_dict(f.result())))
-                except BaseException as exc:
-                    send((request_id, "error", _error_kind(exc), _error_message(exc)))
-
-            future.add_done_callback(_done)
-        elif op == "apply_record":
+        def apply_record(payload) -> dict:
             # The generation bump.  Under the tenant write lock the
             # decoded delta lands via commit_recorded -- O(delta), with
             # the dictionary growing by exactly the record's term range,
@@ -372,48 +326,25 @@ def _replica_main(
                     version_id=version_id, metadata=metadata,
                 )
                 generation = len(tenant.kb)
-            send((request_id, "ok", {"generation": generation, "version_id": version_id}))
-        elif op in ("commit", "commit_delta"):
+            return {"generation": generation, "version_id": version_id}
+
+        def read_only(_payload) -> None:
             raise ServiceError(
                 f"replica {replica_index} of tenant {tenant_name!r} is "
                 "read-only; commits route to the owning shard"
             )
-        elif op == "stats":
-            send((request_id, "ok", service.stats()))
-        elif op == "tenants":
-            send((request_id, "ok", service.tenants()))
-        elif op == "health":
-            send(
-                (
-                    request_id,
-                    "ok",
-                    {"status": "ok", "replica": replica_index,
-                     "tenant": tenant_name, "generation": len(tenant.kb)},
-                )
-            )
-        else:
-            raise ValueError(f"unknown replica op: {op!r}")
 
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            op, request_id, payload = message
-            if op == "shutdown":
-                send((request_id, "ok", {"replica": replica_index}))
-                break
-            try:
-                handle(op, request_id, payload)
-            except BaseException as exc:
-                send((request_id, "error", _error_kind(exc), _error_message(exc)))
-    finally:
-        service.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        return {
+            "apply_record": apply_record,
+            "commit": read_only,
+            "commit_delta": read_only,
+            "health": lambda _payload: {
+                "status": "ok", "replica": replica_index,
+                "tenant": tenant_name, "generation": len(tenant.kb),
+            },
+        }
+
+    _run_worker(conn, replica_index, service, boot)
 
 
 __all__ = [

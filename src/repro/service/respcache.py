@@ -8,7 +8,7 @@ explain + JSON-serialise cost every time.  The substrate's core invariant
 -- responses over committed version pairs are **bit-identical and
 deterministic** -- makes whole-response memoisation a pure win, so
 :class:`ResponseCache` stores the *fully serialised response bytes* (what
-the HTTP front-ends would write on the wire) and hands them back without
+the HTTP front-end writes on the wire) and hands them back without
 touching the engine.
 
 Why the design is this simple:
@@ -66,9 +66,10 @@ def make_etag(body: bytes) -> str:
 class CachedResponse(NamedTuple):
     """One serving result, wire-ready.
 
-    ``body`` is the exact UTF-8 JSON the HTTP front-ends write (both
-    serialise with a bare ``json.dumps``), ``etag`` its strong validator,
-    ``package`` the live object for Python-API callers, and ``hit`` is
+    ``body`` is the exact UTF-8 JSON the HTTP front-end writes (a bare
+    ``json.dumps``), ``etag`` its strong validator, ``package`` the live
+    object for Python-API callers (``None`` when the response crossed a
+    process boundary from a shard or replica), and ``hit`` is
     True when the response came from the cache (including attaching to
     another request's in-flight fill) rather than a fresh computation.
     """

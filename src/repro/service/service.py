@@ -28,6 +28,7 @@ from repro.recommender.engine import EngineConfig
 from repro.recommender.items import RecommendationPackage
 from repro.service.admission import AdmissionQueue
 from repro.service.errors import ServiceClosedError
+from repro.service.http import handle_commit
 from repro.service.metrics import STATS_VERSION, ServiceMetrics
 from repro.service.registry import Tenant, TenantRegistry
 from repro.service.respcache import CachedResponse, ResponseCache, make_etag
@@ -91,9 +92,11 @@ class ServiceConfig:
 def _resolve_future(future: "Future", value=None, error: BaseException | None = None) -> None:
     """Resolve a hand-made future, tolerating an already-cancelled one.
 
-    The async front-end's ``asyncio.wait_for`` cancels on timeout (the
+    The front-end's ``asyncio.wait_for`` cancels on timeout (the
     admission queue tolerates the same race in ``_resolve``); the fill
-    itself still completes and lands in the cache.
+    itself still completes and lands in the cache, and a shard's late
+    answer still reaches the supervisor's pipe client, which resolves
+    through here too.
     """
     try:
         if error is not None:
@@ -116,7 +119,7 @@ class RecommendationService:
         self.registry = registry or TenantRegistry()
         # The ops plane's aggregator: the admission queue feeds it
         # per-tenant request counters/latencies, tenants feed commits,
-        # and the front-ends read it through stats() / SSE /events.
+        # and the front-end reads it through stats() / SSE /events.
         self.metrics = ServiceMetrics()
         self.registry.attach_metrics(self.metrics)
         # The response-cache plane (repro.service.respcache): memoised
@@ -263,16 +266,16 @@ class RecommendationService:
     ) -> "Future[CachedResponse]":
         """One read through the response cache, as a future.
 
-        The uniform serving path for the HTTP front-ends: the resolved
-        future always carries the serialised body (exactly what both
-        front-ends write) and its strong ETag, whether the cache is
+        The uniform serving path for the HTTP front-end: the resolved
+        future always carries the serialised body (exactly what the
+        front-end writes) and its strong ETag, whether the cache is
         enabled or not -- the cache only changes the *cost*.  Hits resolve
         immediately without touching the admission queue; a miss admits
         once and *leads* a singleflight fill, and concurrent or repeated
         misses on the same key attach to that fill instead of
         re-admitting.  Nothing blocks the caller: completion rides the
         admission workers' done-callbacks, so event-loop callers (the
-        async front-end, the shard recv loop) use it directly.
+        front-end, the shard and replica receive loop) use it directly.
         """
         tenant, user, k, pair = self._resolve_read(
             tenant_name, user_id, k, old_id, new_id
@@ -334,7 +337,7 @@ class RecommendationService:
         new_id: str | None = None,
         timeout: float | None = None,
     ) -> CachedResponse:
-        """Blocking :meth:`recommend_cached_async` (the threaded front-end)."""
+        """Blocking :meth:`recommend_cached_async`."""
         future = self.recommend_cached_async(tenant_name, user_id, k, old_id, new_id)
         return future.result(
             timeout=self.config.request_timeout_s if timeout is None else timeout
@@ -391,13 +394,21 @@ class RecommendationService:
             added=added, deleted=deleted, version_id=version_id, metadata=metadata
         )
 
+    def commit_request(self, payload: Dict) -> Dict:
+        """Serve one ``POST /commit`` body (N-Triples changes); blocking."""
+        return handle_commit(self, payload)
+
     # -- introspection / lifecycle ---------------------------------------------------
+
+    def health(self) -> Dict[str, object]:
+        """The ``GET /health`` payload: liveness plus the tenant count."""
+        return {"status": "ok", "tenants": len(self.registry)}
 
     def stats(self) -> Dict[str, object]:
         """The frozen ``GET /stats`` payload (contract version 2).
 
-        This exact payload is also what the async front-end's SSE
-        ``/events`` stream publishes each tick and what
+        This exact payload is also what the front-end's SSE ``/events``
+        stream publishes each tick and what
         :func:`repro.service.metrics.evaluate_alerts` reads, so the
         three surfaces can never disagree on field names.  The v2
         contract (documented field by field in ``docs/http-api.md``,

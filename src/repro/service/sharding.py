@@ -13,18 +13,20 @@ every request to the process owning its tenant:
 * ``_shard_main`` -- the worker entry point: decodes its tenants from the
   binary wire format (:mod:`repro.kb.wire`), stands up a full
   ``RecommendationService`` (admission batching stays local to the
-  shard), answers ``recommend`` asynchronously and writes back under a
-  send lock.
+  shard) and runs ``_run_worker``, the receive loop shard and replica
+  processes share: ``recommend`` is answered asynchronously with the
+  exact body bytes and ETag a single-process front-end would write.
 
 Placement is :meth:`TenantRegistry.shard_of
 <repro.service.registry.TenantRegistry.shard_of>` -- a stable CRC-32 hash
-of the tenant name -- so the supervisor, the HTTP router
-(:func:`repro.service.http.make_router_server`) and any external balancer
-agree on ownership without coordination.  Each tenant lives in exactly one
-shard: reads and writes for it serialise there, which keeps the
-single-process consistency story (snapshot-at-admission reads, per-tenant
-write lock) intact per shard, and makes sharded responses **bit-identical**
-to a single-process service holding the same tenants.
+of the tenant name -- so the supervisor, the HTTP front-end that routes
+through it (:class:`repro.service.aio.AsyncServiceServer`) and any
+external balancer agree on ownership without coordination.  Each tenant
+lives in exactly one shard: reads and writes for it serialise there,
+which keeps the single-process consistency story (snapshot-at-admission
+reads, per-tenant write lock) intact per shard, and makes sharded
+responses **bit-identical** to a single-process service holding the same
+tenants.
 
 Bootstrap and commit payloads travel as wire bytes, never pickled object
 graphs: a shard rebuilds each tenant's interning dictionary, root snapshot
@@ -53,12 +55,12 @@ import multiprocessing
 import threading
 import warnings
 from concurrent.futures import Future
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.io.storage import (
     feedback_from_dicts,
     feedback_to_dicts,
-    package_to_dict,
     users_from_dicts,
     users_to_dicts,
 )
@@ -78,6 +80,7 @@ from repro.service.errors import (
     UnknownUserError,
     error_message as _error_message,
 )
+from repro.service.http import apply_commit, handle_commit, parse_recommend_payload
 from repro.service.registry import TenantRegistry
 from repro.service.replica import (
     _replica_main,
@@ -86,7 +89,8 @@ from repro.service.replica import (
     destroy_segment,
     encode_tenant_artefacts,
 )
-from repro.service.service import RecommendationService, ServiceConfig
+from repro.service.respcache import CachedResponse
+from repro.service.service import RecommendationService, ServiceConfig, _resolve_future
 
 #: One tenant's spawn payload: (name, kb payload, users JSON bytes,
 #: feedback JSON bytes or None).  The kb payload is either one ``encode_kb``
@@ -99,8 +103,8 @@ _TenantPayload = Tuple[str, object, bytes, Optional[bytes]]
 #
 # Exceptions cross the process boundary as (kind, message) pairs; both sides
 # share this table so the supervisor re-raises the exact class the shard's
-# service raised and the HTTP router maps it to the same status code the
-# single-process handler would.
+# service raised and the front-end maps it to the same status code it
+# would in the single-process topology.
 
 _ERROR_CLASSES: Dict[str, type] = {
     "unknown_tenant": UnknownTenantError,
@@ -133,8 +137,7 @@ def _error_kind(exc: BaseException) -> str:
     if isinstance(exc, ServiceError):
         return "service"
     # Anything else is a shard-side bug: keep it distinguishable so the
-    # router answers 500 (like the single-process handler's last resort),
-    # not 400.
+    # front-end answers 500 (its last resort in every topology), not 400.
     return "internal"
 
 
@@ -142,7 +145,123 @@ def _raise_wire_error(kind: str, message: str) -> None:
     raise _ERROR_CLASSES.get(kind, ServiceError)(message)
 
 
-# -- worker process ----------------------------------------------------------------
+# -- worker processes --------------------------------------------------------------
+
+
+def _pipe_sender(conn) -> Callable[[tuple], None]:
+    """A thread-safe ``conn.send`` that ignores a parent that is gone."""
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            try:
+                conn.send(message)
+            except (OSError, ValueError, BrokenPipeError):  # parent is gone
+                pass
+
+    return send
+
+
+def _in_thread(fn: Callable[[], object], name: str) -> Future:
+    """Run ``fn`` on a fresh daemon thread; returns the future of its result."""
+    future: Future = Future()
+
+    def run() -> None:
+        try:
+            future.set_result(fn())
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=run, name=name, daemon=True).start()
+    return future
+
+
+def _answer(send: Callable[[tuple], None], request_id: int, future: Future) -> None:
+    """Done-callback: send a resolved future's result (or error) back."""
+    try:
+        result = future.result()
+        if isinstance(result, CachedResponse):
+            # The live package stays in this process: the body bytes and
+            # their ETag are all the router writes, unchanged.
+            result = result._replace(package=None)
+        send((request_id, "ok", result))
+    except BaseException as exc:
+        send((request_id, "error", _error_kind(exc), _error_message(exc)))
+
+
+def _run_worker(
+    conn,
+    index: int,
+    service: RecommendationService,
+    boot: Callable[[Callable[[tuple], None]], Dict[str, Callable]],
+) -> None:
+    """The one receive loop of every worker process, shard and replica alike.
+
+    ``boot(send)`` registers the process's tenants on ``service`` and
+    returns its role's op table (op name -> ``handler(payload)``); every
+    process also answers ``recommend``, ``stats``, ``tenants`` and
+    ``shutdown``.  Protocol: the parent sends ``(op, request_id,
+    payload)`` tuples; the process answers ``(request_id, "ok", result)``
+    or ``(request_id, "error", kind, message)``.  The first message out is
+    ``("ready", index, tenant_names)``, or ``("failed", index, kind,
+    message)`` when ``boot`` raised.
+
+    A handler that returns a :class:`~concurrent.futures.Future` is
+    answered when it resolves: ``recommend`` rides the admission queue's
+    done-callbacks (so requests batch while earlier ones score) and a
+    slow commit runs on its own thread.  Every other handler runs inline,
+    so pipe order is the order they take effect in.
+    """
+    send = _pipe_sender(conn)
+    try:
+        ops = boot(send)
+    except BaseException as exc:
+        send(("failed", index, _error_kind(exc), _error_message(exc)))
+        service.close()
+        return
+    send(("ready", index, service.registry.names()))
+
+    def recommend(payload) -> Future:
+        # The body and ETag the single-process front-end would write.  The
+        # response cache is process-local: this process owns its tenants'
+        # version ids and population epoch, so no other process can
+        # invalidate behind its back and no coherence traffic exists.
+        tenant, user, k, old, new = parse_recommend_payload(payload)
+        return service.recommend_cached_async(tenant, user, k, old, new)
+
+    ops = {
+        "recommend": recommend,
+        "stats": lambda _payload: service.stats(),
+        "tenants": lambda _payload: service.tenants(),
+        **ops,
+    }
+    try:
+        while True:
+            try:
+                op, request_id, payload = conn.recv()
+            except (EOFError, OSError):
+                break
+            if op == "shutdown":
+                send((request_id, "ok", None))
+                break
+            try:
+                handler = ops.get(op)
+                if handler is None:
+                    raise ValueError(f"unknown op: {op!r}")
+                result = handler(payload)
+            except BaseException as exc:
+                send((request_id, "error", _error_kind(exc), _error_message(exc)))
+                continue
+            if isinstance(result, Future):
+                result.add_done_callback(partial(_answer, send, request_id))
+            else:
+                send((request_id, "ok", result))
+    finally:
+        service.close()
+        try:
+            conn.close()
+        except OSError:
+            pass
 
 
 def _shard_main(
@@ -153,33 +272,19 @@ def _shard_main(
 ) -> None:
     """Entry point of one shard process (module-level: spawn-picklable).
 
-    Protocol: the parent sends ``(op, request_id, payload)`` tuples; the
-    shard answers ``(request_id, "ok", result)`` or ``(request_id,
-    "error", kind, message)``.  ``recommend`` is answered asynchronously
-    from the admission queue's done-callbacks (so requests batch while
-    earlier ones score); everything else is handled inline.  The first
-    message out is ``("ready", shard_index, tenant_names)``.
+    A shard owns its tenants: on top of the reads every worker answers it
+    applies commits -- ``commit`` (an HTTP body with N-Triples changes)
+    and ``commit_delta`` (binary wire deltas from the Python API) -- and
+    publishes warm snapshots for joining replicas (``publish_tenant`` /
+    ``unpublish_tenant``).
     """
-    # Imported here, not at module top: the handlers live in http.py which
-    # imports this module's ShardSupervisor for type checking only.
-    from repro.service.http import apply_commit, handle_commit, parse_recommend_payload
-
     service = RecommendationService(config)
-    send_lock = threading.Lock()
-
-    def send(message: tuple) -> None:
-        with send_lock:
-            try:
-                conn.send(message)
-            except (OSError, ValueError, BrokenPipeError):  # parent is gone
-                pass
-
     # Where the on-disk dictionary cursor would be in a persisting
     # single-process service, this tracks the *replica* cursor: how many
     # terms of each tenant's dictionary the supervisor-side record stream
     # already covers.  Reads never intern into a chain dictionary (only
     # Graph.add under the commit write lock does), so the cursor only
-    # moves inside _run_commit.
+    # moves inside commit().
     term_cursors: Dict[str, int] = {}
     # Segments this shard published for late-joining replicas, by tenant.
     # Held only between publish_tenant and unpublish_tenant (one pipe
@@ -187,7 +292,7 @@ def _shard_main(
     # signals it attached); anything left at shutdown is destroyed.
     published: Dict[str, object] = {}
 
-    try:
+    def boot(send) -> Dict[str, Callable]:
         for name, kb_bytes, users_bytes, feedback_bytes in payloads:
             # Lazy decode any payload shape: bootstrap builds the root
             # and the head pair's snapshots; middles rematerialise through
@@ -212,201 +317,122 @@ def _shard_main(
             term_cursors[name] = (
                 len(kb.first().graph.dictionary) if len(kb) else 0
             )
-    except BaseException as exc:
-        send(("failed", shard_index, _error_kind(exc), _error_message(exc)))
-        service.close()
-        return
-    send(("ready", shard_index, service.registry.names()))
+        return {
+            "commit": lambda payload: _in_thread(
+                partial(commit, payload, delta=False), "repro-shard-commit"
+            ),
+            "commit_delta": lambda payload: _in_thread(
+                partial(commit, payload, delta=True), "repro-shard-commit"
+            ),
+            "publish_tenant": publish_tenant,
+            "unpublish_tenant": unpublish_tenant,
+            "health": lambda _payload: {
+                "status": "ok", "shard": shard_index, "tenants": len(service.registry),
+            },
+        }
 
-    def handle(op: str, request_id: int, payload) -> None:
-        if op == "recommend":
-            tenant, user, k, old, new = parse_recommend_payload(payload)
-            if service.respcache is not None:
-                # The response cache is process-local: this shard owns its
-                # tenants' version ids and population epoch, so no other
-                # process can invalidate behind its back and no coherence
-                # traffic exists.  recommend_cached_async never blocks the
-                # recv loop -- hits resolve immediately, misses ride the
-                # admission workers' callbacks like the uncached path.
-                cached_future = service.recommend_cached_async(
-                    tenant, user, k, old, new
-                )
+    # Commits run off the receive loop (see _in_thread above): a slow
+    # commit (parse + intern + diff) for one tenant must not
+    # head-of-line-block admission of other tenants' reads on this shard
+    # -- single-process, a commit only holds its own tenant's write lock,
+    # and the sharded topology keeps that property.  Same-tenant commits
+    # still serialise on the write lock inside apply_commit.
+    def commit(payload, delta: bool) -> Dict:
+        want_record = isinstance(payload, dict) and bool(
+            payload.pop("_want_record", False)
+        )
 
-                def _done_cached(f, request_id=request_id):
-                    try:
-                        send((request_id, "ok", package_to_dict(f.result().package)))
-                    except BaseException as exc:
-                        send(
-                            (request_id, "error", _error_kind(exc), _error_message(exc))
-                        )
-
-                cached_future.add_done_callback(_done_cached)
-                return
-            future = service.recommend_async(tenant, user, k, old, new)
-
-            def _done(f, request_id=request_id):
-                try:
-                    send((request_id, "ok", package_to_dict(f.result())))
-                except BaseException as exc:
-                    send((request_id, "error", _error_kind(exc), _error_message(exc)))
-
-            future.add_done_callback(_done)
-        elif op in ("commit", "commit_delta"):
-            # Off the recv loop: a slow commit (parse + intern + diff) for
-            # one tenant must not head-of-line-block admission of other
-            # tenants' reads on this shard -- single-process, a commit only
-            # holds its own tenant's write lock, and the sharded topology
-            # keeps that property.  Same-tenant commits still serialise on
-            # the write lock inside apply_commit.
-            def _run_commit(op=op, request_id=request_id, payload=payload):
-                try:
-                    want_record = isinstance(payload, dict) and bool(
-                        payload.pop("_want_record", False)
-                    )
-
-                    def apply():
-                        if op == "commit":  # HTTP-shaped body, N-Triples changes
-                            return handle_commit(service, payload)
-                        # binary wire deltas from the Python API
-                        added = (
-                            wire.decode_triples(payload["added"])
-                            if payload.get("added")
-                            else []
-                        )
-                        deleted = (
-                            wire.decode_triples(payload["deleted"])
-                            if payload.get("deleted")
-                            else []
-                        )
-                        return apply_commit(
-                            service,
-                            payload["tenant"],
-                            added,
-                            deleted,
-                            payload.get("version_id"),
-                            payload.get("metadata") or {},
-                        )
-
-                    tenant_name = (
-                        payload.get("tenant") if isinstance(payload, dict) else None
-                    )
-                    if want_record and tenant_name:
-                        # Replicated tenant: encode the committed version
-                        # as an O(delta) commit record under the same
-                        # write-lock hold that applied it, so the record
-                        # stream carries every commit exactly once, in
-                        # order, with the dictionary growth
-                        # [cursor, len(dictionary)) no other commit can
-                        # interleave into.
-                        tenant = service.tenant(tenant_name)
-                        with tenant.write_lock:
-                            result = apply()
-                            dictionary = tenant.kb.first().graph.dictionary
-                            cursor = term_cursors.get(tenant_name, len(dictionary))
-                            result["_record"] = wire.encode_commit(
-                                tenant.kb.latest(), dictionary, cursor
-                            )
-                            term_cursors[tenant_name] = len(dictionary)
-                    else:
-                        result = apply()
-                    send((request_id, "ok", result))
-                except BaseException as exc:
-                    send((request_id, "error", _error_kind(exc), _error_message(exc)))
-
-            threading.Thread(
-                target=_run_commit, name="repro-shard-commit", daemon=True
-            ).start()
-        elif op == "publish_tenant":
-            # Warm late-join handoff: re-publish this tenant's *current*
-            # chain -- base plus every commit applied so far -- together
-            # with the artefact caches its serving already paid for, into
-            # a fresh shared-memory segment a joining replica bootstraps
-            # from.  Encoding under the write lock pins one consistent
-            # chain state; the supervisor holds the tenant's commit lock
-            # across publish + spawn, so no commit record can slip between
-            # the published snapshot and the joiner's record stream.
-            tenant_name = payload["tenant"]
-            tenant = service.tenant(tenant_name)
-            with tenant.write_lock:
-                base = wire.encode_kb(tenant.kb)
-                artefacts = encode_tenant_artefacts(tenant.kb)
-                generation = len(tenant.kb)
-                # The snapshot carries the whole dictionary, so the record
-                # stream resumes from here.  Commits made while the tenant
-                # had no replicas never advanced the cursor; without this
-                # resync their interned terms would be double-counted in
-                # the next record's terms_before and poison the joiner.
-                # With replicas already live this is a no-op: every
-                # record-carrying commit left the cursor at len(dict).
-                if len(tenant.kb):
-                    term_cursors[tenant_name] = len(
-                        tenant.kb.first().graph.dictionary
-                    )
-            segment = create_shared_payload(base, artefacts)
-            stale = published.pop(tenant_name, None)
-            if stale is not None:  # pragma: no cover - supervisor lost track
-                destroy_segment(stale)
-            published[tenant_name] = segment
-            send(
-                (
-                    request_id,
-                    "ok",
-                    {
-                        "segment": segment.name,
-                        "generation": generation,
-                        "artefact_bytes": len(artefacts),
-                    },
-                )
+        def apply() -> Dict:
+            if not delta:  # HTTP-shaped body, N-Triples changes
+                return handle_commit(service, payload)
+            # binary wire deltas from the Python API
+            added = wire.decode_triples(payload["added"]) if payload.get("added") else []
+            deleted = (
+                wire.decode_triples(payload["deleted"]) if payload.get("deleted") else []
             )
-        elif op == "unpublish_tenant":
-            # The joiner holds its mapping (or failed): unlink now.  Same
-            # hygiene as start() -- the mapping outlives the name, and a
-            # SIGKILL'd topology leaves nothing behind in /dev/shm.
-            segment = published.pop(payload["tenant"], None)
-            if segment is not None:
-                destroy_segment(segment)
-            send((request_id, "ok", {"unpublished": segment is not None}))
-        elif op == "stats":
-            send((request_id, "ok", service.stats()))
-        elif op == "tenants":
-            send((request_id, "ok", service.tenants()))
-        elif op == "health":
-            send(
-                (
-                    request_id,
-                    "ok",
-                    {"status": "ok", "shard": shard_index,
-                     "tenants": len(service.registry)},
-                )
+            return apply_commit(
+                service,
+                payload["tenant"],
+                added,
+                deleted,
+                payload.get("version_id"),
+                payload.get("metadata") or {},
             )
-        else:
-            raise ValueError(f"unknown shard op: {op!r}")
+
+        tenant_name = payload.get("tenant") if isinstance(payload, dict) else None
+        if not (want_record and tenant_name):
+            return apply()
+        # Replicated tenant: encode the committed version as an O(delta)
+        # commit record under the same write-lock hold that applied it,
+        # so the record stream carries every commit exactly once, in
+        # order, with the dictionary growth [cursor, len(dictionary)) no
+        # other commit can interleave into.
+        tenant = service.tenant(tenant_name)
+        with tenant.write_lock:
+            result = apply()
+            dictionary = tenant.kb.first().graph.dictionary
+            cursor = term_cursors.get(tenant_name, len(dictionary))
+            result["_record"] = wire.encode_commit(tenant.kb.latest(), dictionary, cursor)
+            term_cursors[tenant_name] = len(dictionary)
+        return result
+
+    def publish_tenant(payload) -> Dict:
+        # Warm late-join handoff: re-publish this tenant's *current*
+        # chain -- base plus every commit applied so far -- together
+        # with the artefact caches its serving already paid for, into
+        # a fresh shared-memory segment a joining replica bootstraps
+        # from.  Encoding under the write lock pins one consistent
+        # chain state; the supervisor holds the tenant's commit lock
+        # across publish + spawn, so no commit record can slip between
+        # the published snapshot and the joiner's record stream.
+        tenant_name = payload["tenant"]
+        tenant = service.tenant(tenant_name)
+        with tenant.write_lock:
+            base = wire.encode_kb(tenant.kb)
+            artefacts = encode_tenant_artefacts(tenant.kb)
+            generation = len(tenant.kb)
+            # The snapshot carries the whole dictionary, so the record
+            # stream resumes from here.  Commits made while the tenant
+            # had no replicas never advanced the cursor; without this
+            # resync their interned terms would be double-counted in
+            # the next record's terms_before and poison the joiner.
+            # With replicas already live this is a no-op: every
+            # record-carrying commit left the cursor at len(dict).
+            if len(tenant.kb):
+                term_cursors[tenant_name] = len(tenant.kb.first().graph.dictionary)
+        segment = create_shared_payload(base, artefacts)
+        stale = published.pop(tenant_name, None)
+        if stale is not None:  # pragma: no cover - supervisor lost track
+            destroy_segment(stale)
+        published[tenant_name] = segment
+        return {
+            "segment": segment.name,
+            "generation": generation,
+            "artefact_bytes": len(artefacts),
+        }
+
+    def unpublish_tenant(payload) -> Dict:
+        # The joiner holds its mapping (or failed): unlink now.  Same
+        # hygiene as start() -- the mapping outlives the name, and a
+        # SIGKILL'd topology leaves nothing behind in /dev/shm.
+        segment = published.pop(payload["tenant"], None)
+        if segment is not None:
+            destroy_segment(segment)
+        return {"unpublished": segment is not None}
 
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            op, request_id, payload = message
-            if op == "shutdown":
-                send((request_id, "ok", {"shard": shard_index}))
-                break
-            try:
-                handle(op, request_id, payload)
-            except BaseException as exc:
-                send((request_id, "error", _error_kind(exc), _error_message(exc)))
+        _run_worker(conn, shard_index, service, boot)
     finally:
         for segment in published.values():
             destroy_segment(segment)
-        service.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 # -- supervisor side ---------------------------------------------------------------
+#
+# Caller-side futures are resolved through _resolve_future: the HTTP
+# front-end cancels a read that misses request_timeout_s, its answer still
+# arrives later, and setting a cancelled future would raise in the pipe's
+# reader thread and silence that pipe.
 
 
 class _ShardClient:
@@ -474,13 +500,13 @@ class _ShardClient:
             if future is None:
                 continue  # response for an abandoned (timed-out) request
             if message[1] == "ok":
-                future.set_result(message[2])
+                _resolve_future(future, message[2])
             else:
                 _, _, kind, text = message
                 try:
                     _raise_wire_error(kind, text)
                 except BaseException as exc:
-                    future.set_exception(exc)
+                    _resolve_future(future, error=exc)
         self._mark_dead()
 
     @property
@@ -495,8 +521,8 @@ class _ShardClient:
         with self._pending_lock:
             pending, self._pending = self._pending, {}
         for future in pending.values():
-            future.set_exception(
-                ShardError(f"{self.label} died with requests in flight")
+            _resolve_future(
+                future, error=ShardError(f"{self.label} died with requests in flight")
             )
 
     def poison(self) -> None:
@@ -525,8 +551,9 @@ class _ShardClient:
             with self._pending_lock:
                 abandoned = self._pending.pop(request_id, None)
             if abandoned is not None:
-                abandoned.set_exception(
-                    ShardError(f"{self.label} died with requests in flight")
+                _resolve_future(
+                    abandoned,
+                    error=ShardError(f"{self.label} died with requests in flight"),
                 )
         return future
 
@@ -564,8 +591,14 @@ class ShardSupervisor:
     Tenants are registered *before* :meth:`start`: each is wire-encoded
     once and shipped to its owning shard as part of the spawn payload.
     ``recommend`` returns the package as a JSON-ready dict (the same
-    layout :func:`repro.io.storage.package_to_dict` produces), because the
-    package object itself lives in the shard process.
+    layout :func:`repro.io.storage.package_to_dict` produces, decoded
+    from the body the shard serialised), because the package object
+    itself lives in the shard process.
+
+    The HTTP front-end calls the same five methods on a supervisor as on
+    a single-process service: :meth:`recommend_cached_async`,
+    :meth:`commit_request`, :meth:`stats`, :meth:`tenants` and
+    :meth:`health`.
 
     Results are bit-identical to a single-process
     :class:`~repro.service.service.RecommendationService` over the same
@@ -863,7 +896,7 @@ class ShardSupervisor:
 
     def _submit_read(
         self, client: _ShardClient, owner: _ShardClient, payload: Dict
-    ) -> "Future[Dict]":
+    ) -> "Future[CachedResponse]":
         """Submit a read on ``client``, transparently retrying on the owner.
 
         Reads are idempotent and replicas are bit-identical to the owner,
@@ -882,9 +915,9 @@ class ShardSupervisor:
         def _relay(source: Future, sink: Future) -> None:
             exc = source.exception()
             if exc is None:
-                sink.set_result(source.result())
+                _resolve_future(sink, source.result())
             else:
-                sink.set_exception(exc)
+                _resolve_future(sink, error=exc)
 
         def _done(f: Future) -> None:
             exc = f.exception()
@@ -895,22 +928,30 @@ class ShardSupervisor:
             try:
                 retry = owner.submit("recommend", payload)
             except BaseException as retry_exc:
-                outer.set_exception(retry_exc)
+                _resolve_future(outer, error=retry_exc)
                 return
             retry.add_done_callback(lambda g: _relay(g, outer))
 
         inner.add_done_callback(_done)
         return outer
 
-    def recommend_async(
+    def recommend_cached_async(
         self,
         tenant_name: str,
         user_id: str,
         k: int | None = None,
         old_id: str | None = None,
         new_id: str | None = None,
-    ) -> "Future[Dict]":
-        """Admit one read on the owner or a replica; future of the package dict."""
+    ) -> "Future[CachedResponse]":
+        """Admit one read on the owner or a replica, as a future.
+
+        The same call as
+        :meth:`RecommendationService.recommend_cached_async
+        <repro.service.service.RecommendationService.recommend_cached_async>`:
+        the future carries the body bytes and strong ETag the serving
+        process wrote, so the front-end relays them unchanged.  Only
+        ``package`` is ``None``: the live package stays in that process.
+        """
         payload = {"tenant": tenant_name, "user": user_id}
         if k is not None:
             payload["k"] = k
@@ -918,9 +959,6 @@ class ShardSupervisor:
             payload["old"] = old_id
         if new_id is not None:
             payload["new"] = new_id
-        return self._route_read(tenant_name, payload)
-
-    def _route_read(self, tenant_name: str, payload: Dict) -> "Future[Dict]":
         owner = self._client_for(tenant_name)
         replicas = self._live_replicas(tenant_name)
         if not replicas:
@@ -939,10 +977,11 @@ class ShardSupervisor:
         timeout: float | None = None,
     ) -> Dict:
         """Recommend for one user (blocking); returns the package as a dict."""
-        future = self.recommend_async(tenant_name, user_id, k, old_id, new_id)
-        return future.result(
+        future = self.recommend_cached_async(tenant_name, user_id, k, old_id, new_id)
+        response = future.result(
             timeout=self.config.request_timeout_s if timeout is None else timeout
         )
+        return json.loads(response.body)
 
     def commit_changes(
         self,
@@ -1195,24 +1234,20 @@ class ShardSupervisor:
             )
         return client
 
-    def forward(self, op: str, payload: Dict, timeout: float | None = None) -> Dict:
-        """Route an HTTP-shaped body (``recommend`` / ``commit``) by tenant.
+    def commit_request(self, payload: Dict) -> Dict:
+        """Apply one ``POST /commit`` body on its tenant's owning shard.
 
-        The router front-end calls this: the body is forwarded verbatim,
-        so the shard performs exactly the validation and N-Triples parsing
-        the single-process handler would.  ``recommend`` participates in
-        replica round-robin; ``commit`` always goes to the owner.
+        The body is forwarded verbatim, so the shard performs exactly the
+        validation and N-Triples parsing a single-process service would;
+        replicated tenants then get the commit record like any commit.
         """
         tenant_name = payload.get("tenant")
         if not tenant_name:
-            raise ValueError(f"{op} requires 'tenant'")
-        timeout = self.config.request_timeout_s if timeout is None else timeout
-        if op == "recommend":
-            return self._route_read(tenant_name, payload).result(timeout=timeout)
-        if op == "commit":
-            payload.pop("_want_record", None)  # internal flag, never client-set
-            return self._commit(op, tenant_name, payload, timeout)
-        return self._client_for(tenant_name).request(op, payload, timeout=timeout)
+            raise ValueError("commit requires 'tenant'")
+        payload.pop("_want_record", None)  # internal flag, never client-set
+        return self._commit(
+            "commit", tenant_name, payload, self.config.request_timeout_s
+        )
 
     # -- introspection -------------------------------------------------------
 

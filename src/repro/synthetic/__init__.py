@@ -3,7 +3,7 @@
 Substitutes the data the paper assumes but this reproduction cannot obtain
 (real knowledge-base version dumps and real curator interest data) with
 parameterised generators that *plant* the ground truth the evaluation needs.
-See DESIGN.md section 5 for the substitution rationale.
+The substitution rationale is in :mod:`repro.synthetic.schema_gen`.
 """
 
 from repro.synthetic.config import (

@@ -1,7 +1,7 @@
 """Synthetic ontology generation.
 
 Generates a class forest (subsumption hierarchy) plus properties with
-domain/range declarations.  The substitution rationale (DESIGN.md section 5):
+domain/range declarations.  The substitution rationale:
 the paper's motivating knowledge bases (DBpedia, YAGO, ...) are schema
 forests with typed links, and every downstream component consumes only the
 schema/triple interface, so a parameterised random forest with the right

@@ -1,6 +1,6 @@
 """Experiment determinism: the same invocation renders identical reports.
 
-Benchmarks and EXPERIMENTS.md quote concrete numbers; those are only
+Benchmarks quote concrete numbers; those are only
 trustworthy if a rerun reproduces them bit-for-bit (wall-clock timing
 columns excluded, hence the subset of experiments checked).
 """

@@ -1,22 +1,32 @@
-"""Async front-end tests: endpoint parity with the threaded server (byte
-for byte), SSE framing and disconnect behaviour, and bit-identity under a
-hammered concurrent mixed read/commit stream."""
+"""HTTP front-end tests: byte parity with the serial in-process reference,
+raw-socket protocol edge cases, SSE framing and disconnect behaviour, and
+bit-identity under a hammered concurrent mixed read/commit stream.
+
+The reference for every body is what a serial caller of an identically
+generated twin service would serialise: ``json.dumps(package_to_dict(...))``
+for reads, ``json.dumps`` of the method's result (or of the mapped error)
+for everything else."""
 
 import http.client
+import importlib.util
 import json
+import os
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.io.storage import package_to_dict
 from repro.service import (
     AlertThresholds,
     AsyncServerThread,
     RecommendationService,
     ServiceConfig,
+    evaluate_alerts,
 )
-from repro.service.http import make_server
+from repro.service.http import map_error, parse_recommend_payload
 from repro.synthetic.config import (
     EvolutionConfig,
     InstanceConfig,
@@ -33,6 +43,7 @@ WORLD_CONFIG = WorldConfig(
     users=UserConfig(n_users=4, events_per_user=6),
 )
 SEED = 31
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _request(host, port, method, path, payload=None):
@@ -50,53 +61,75 @@ def _request(host, port, method, path, payload=None):
         connection.close()
 
 
-@pytest.fixture()
-def both_servers():
-    """One service behind BOTH front-ends at once -- the strongest parity
-    setup: any byte difference is the transport's fault, not state's."""
+def _twin():
+    """An identically generated service that never sees a socket."""
     world = generate_world(seed=SEED, config=WORLD_CONFIG)
     service = RecommendationService(ServiceConfig(k=3, workers=2))
     service.add_tenant("uni", world.kb, world.users)
-    threaded = make_server(service, host="127.0.0.1", port=0)
-    threaded_thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    threaded_thread.start()
-    with AsyncServerThread(service, thresholds=AlertThresholds()) as aio:
-        try:
-            yield (
-                world,
-                service,
-                threaded.server_address[:2],
-                aio.address,
+    return service
+
+
+def _serial(twin, method, path, payload=None):
+    """The serial in-process reference -> (status, body bytes)."""
+    try:
+        if (method, path) == ("POST", "/recommend"):
+            tenant, user, k, old, new = parse_recommend_payload(payload)
+            result = package_to_dict(
+                twin.recommend(tenant, user, k=k, old_id=old, new_id=new)
             )
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-    service.close()
+        elif (method, path) == ("POST", "/commit"):
+            result = twin.commit_request(payload)
+        elif (method, path) == ("GET", "/health"):
+            result = twin.health()
+        elif (method, path) == ("GET", "/tenants"):
+            result = {"tenants": twin.tenants()}
+        elif (method, path) == ("GET", "/stats"):
+            result = twin.stats()
+        elif (method, path) == ("GET", "/alerts"):
+            result = evaluate_alerts(twin.stats(), AlertThresholds())
+        else:
+            return 404, json.dumps({"error": f"unknown path: {path}"}).encode()
+    except Exception as exc:
+        status, message = map_error(exc)
+        return status, json.dumps({"error": message}).encode()
+    return 200, json.dumps(result).encode()
+
+
+@pytest.fixture()
+def served():
+    """One service behind the front-end, plus its never-served twin."""
+    world = generate_world(seed=SEED, config=WORLD_CONFIG)
+    service = RecommendationService(ServiceConfig(k=3, workers=2))
+    service.add_tenant("uni", world.kb, world.users)
+    twin = _twin()
+    try:
+        with AsyncServerThread(service, thresholds=AlertThresholds()) as aio:
+            yield world, service, twin, aio.address
+    finally:
+        service.close()
+        twin.close()
 
 
 class TestEndpointParity:
-    def test_get_endpoints_byte_identical(self, both_servers):
-        _, _, threaded_addr, aio_addr = both_servers
+    def test_get_endpoints_byte_identical(self, served):
+        _, _, twin, address = served
         for path in ("/health", "/tenants", "/stats", "/alerts"):
-            status_t, body_t = _request(*threaded_addr, "GET", path)
-            status_a, body_a = _request(*aio_addr, "GET", path)
-            assert (status_t, body_t) == (status_a, body_a), path
+            assert _request(*address, "GET", path) == _serial(twin, "GET", path), path
 
-    def test_recommend_byte_identical(self, both_servers):
-        world, _, threaded_addr, aio_addr = both_servers
+    def test_recommend_byte_identical(self, served):
+        world, _, twin, address = served
         ids = world.kb.version_ids()
         for user in world.users:
             payload = {
                 "tenant": "uni", "user": user.user_id,
                 "old": ids[0], "new": ids[1],
             }
-            result_t = _request(*threaded_addr, "POST", "/recommend", payload)
-            result_a = _request(*aio_addr, "POST", "/recommend", payload)
-            assert result_t == result_a
-            assert result_t[0] == 200
+            result = _request(*address, "POST", "/recommend", payload)
+            assert result == _serial(twin, "POST", "/recommend", payload)
+            assert result[0] == 200
 
-    def test_error_responses_byte_identical(self, both_servers):
-        world, _, threaded_addr, aio_addr = both_servers
+    def test_error_responses_byte_identical(self, served):
+        _, _, twin, address = served
         cases = [
             ("POST", "/recommend", {"tenant": "ghost", "user": "u0"}),  # 404
             ("POST", "/recommend", {"tenant": "uni", "user": "ghost"}),  # 404
@@ -107,13 +140,12 @@ class TestEndpointParity:
             ("POST", "/nope", {}),  # 404
         ]
         for method, path, payload in cases:
-            result_t = _request(*threaded_addr, method, path, payload)
-            result_a = _request(*aio_addr, method, path, payload)
-            assert result_t == result_a, (method, path)
-            assert result_t[0] in (400, 404)
+            result = _request(*address, method, path, payload)
+            assert result == _serial(twin, method, path, payload), (method, path)
+            assert result[0] in (400, 404)
 
-    def test_keep_alive_reuses_one_connection(self, both_servers):
-        _, _, _, (host, port) = both_servers
+    def test_keep_alive_reuses_one_connection(self, served):
+        _, _, _, (host, port) = served
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
             for _ in range(3):
@@ -124,8 +156,8 @@ class TestEndpointParity:
         finally:
             connection.close()
 
-    def test_connection_close_header_honoured(self, both_servers):
-        _, _, _, (host, port) = both_servers
+    def test_connection_close_header_honoured(self, served):
+        _, _, _, (host, port) = served
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
             connection.request("GET", "/health", headers={"Connection": "close"})
@@ -136,11 +168,83 @@ class TestEndpointParity:
         finally:
             connection.close()
 
-    def test_threaded_events_is_404_with_hint(self, both_servers):
-        _, _, threaded_addr, _ = both_servers
-        status, body = _request(*threaded_addr, "GET", "/events")
-        assert status == 404
-        assert b"--async" in body
+
+def _read_until_closed(sock):
+    """Everything the server sends until it closes (socket.timeout if never)."""
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
+
+
+class TestProtocol:
+    """Raw-socket edge cases a well-behaved client library never produces."""
+
+    def test_expect_100_continue_is_answered_before_the_body(self, served):
+        world, _, _, address = served
+        body = json.dumps({"tenant": "uni", "user": world.users[0].user_id}).encode()
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The client holds the body back until the interim response.
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed before 100 Continue"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = b""
+            while b"\r\n\r\n" not in response:
+                response += sock.recv(65536)
+            assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_http10_without_keep_alive_closes(self, served):
+        _, _, _, address = served
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+            raw = _read_until_closed(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"status": "ok", "tenants": 1}
+
+    def test_http10_keep_alive_is_honoured(self, served):
+        _, _, _, address = served
+        with socket.create_connection(address, timeout=5) as sock:
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    head += sock.recv(4096)
+                assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert b"Connection: close" not in head
+                length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+                body = head.partition(b"\r\n\r\n")[2]
+                while len(body) < length:
+                    body += sock.recv(4096)
+
+    def test_oversized_header_line_gets_400_and_close(self, served):
+        _, _, _, address = served
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(
+                b"GET /health HTTP/1.1\r\nHost: x\r\nX-Big: "
+                + b"a" * (70 * 1024)
+                + b"\r\n\r\n"
+            )
+            raw = _read_until_closed(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert json.loads(body) == {"error": "headers too large"}
+        # The server is still healthy afterwards.
+        assert _request(*address, "GET", "/health")[0] == 200
 
 
 class TestSSE:
@@ -155,8 +259,8 @@ class TestSSE:
         finally:
             connection.close()
 
-    def test_framing_and_sequence(self, both_servers):
-        _, service, _, (host, port) = both_servers
+    def test_framing_and_sequence(self, served):
+        _, service, _, (host, port) = served
         raw = self._read_stream(host, port, "interval=0.02&count=3")
         frames = [f for f in raw.split(b"\n\n") if f]
         assert len(frames) == 3
@@ -170,9 +274,9 @@ class TestSSE:
             assert set(payload) == set(service.stats())
             assert payload["stats_version"] == 2
 
-    def test_alerts_frame_when_thresholds_fire(self, both_servers):
-        world, service, _, _ = both_servers
-        # A dedicated async server whose queue-depth threshold of 0 always
+    def test_alerts_frame_when_thresholds_fire(self, served):
+        _, service, _, _ = served
+        # A dedicated server whose queue-depth threshold of 0 always
         # fires: every tick must carry stats + alerts frames.
         with AsyncServerThread(
             service, thresholds=AlertThresholds(queue_depth=0)
@@ -189,14 +293,14 @@ class TestSSE:
         assert alert_payload["status"] == "alerting"
         assert alert_payload["alerts"][0]["kind"] == "queue_depth"
 
-    def test_bad_query_is_400(self, both_servers):
-        _, _, _, (host, port) = both_servers
+    def test_bad_query_is_400(self, served):
+        _, _, _, (host, port) = served
         for query in ("interval=0", "interval=-1", "count=0", "interval=nan"):
             status, body = _request(*(host, port), "GET", f"/events?{query}")
             assert status == 400, query
 
-    def test_disconnect_mid_stream_leaves_server_healthy(self, both_servers):
-        _, _, _, (host, port) = both_servers
+    def test_disconnect_mid_stream_leaves_server_healthy(self, served):
+        _, _, _, (host, port) = served
         # Subscribe with no count (endless stream), read one frame's worth,
         # then drop the socket mid-stream.
         raw_socket = socket.create_connection((host, port), timeout=30)
@@ -246,111 +350,57 @@ class TestConnectionLimit:
             service.close()
 
 
+class TestCommitBacklog:
+    def test_health_answers_while_commits_wait_on_the_write_lock(self, served):
+        # Commits run on the server's own pool: a backlog of them, one
+        # more than a default executor has threads, all parked on the
+        # tenant's write lock, must not hold up the introspection calls.
+        _, service, _, address = served
+        backlog = min(32, (os.cpu_count() or 1) + 4) + 1
+        statuses = []
+        clients = [
+            threading.Thread(target=lambda i=i: statuses.append(_request(
+                *address, "POST", "/commit",
+                {"tenant": "uni", "added": f"<urn:t:s{i}> <urn:t:p> <urn:t:o{i}> .\n"},
+            )[0]))
+            for i in range(backlog)
+        ]
+        before = threading.active_count()
+        with service.tenant("uni").write_lock:
+            for client in clients:
+                client.start()
+            # Until the server runs as many commits as it has threads for.
+            deadline = time.monotonic() + 5
+            while threading.active_count() < before + 2 * backlog - 1:
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            for path in ("/health", "/stats"):
+                connection = http.client.HTTPConnection(*address, timeout=5)
+                connection.request("GET", path)
+                assert connection.getresponse().status == 200, path
+                connection.close()
+            assert statuses == []
+        for client in clients:
+            client.join(timeout=30)
+        assert statuses == [200] * backlog
+
+
 class TestMixedStreamBitIdentity:
     """The hammered concurrent mixed read/commit stream: one committer
     client, readers pinned to one version pair (so a read racing a commit
-    scores the same snapshot either way), identical worlds on both sides --
-    every captured response byte must match across transports."""
+    scores the same snapshot either way) -- every captured response byte
+    must match a serial replay of the same requests on a twin world.  The
+    stream and the replay are the HTTP bench's gate check
+    (``benchmarks/bench_service.py``), run here on the small test world."""
 
-    CLIENTS = 4
-    READS_PER_CLIENT = 8
-    COMMITS = 3
-
-    def _commit_bodies(self):
-        return [
-            json.dumps(
-                {
-                    "tenant": "uni",
-                    "added": f"<urn:t:s{i}> <urn:t:p> <urn:t:o{i}> .\n",
-                    "version_id": f"mix_c{i}",
-                }
-            ).encode("utf-8")
-            for i in range(self.COMMITS)
-        ]
-
-    def _capture(self, host, port, user_ids, pinned):
-        captured = [[] for _ in range(self.CLIENTS)]
-        errors = []
-        barrier = threading.Barrier(self.CLIENTS)
-
-        def client_loop(index):
-            connection = http.client.HTTPConnection(host, port, timeout=60)
-            try:
-                barrier.wait()
-                if index == 0:
-                    requests = [("/commit", body) for body in self._commit_bodies()]
-                else:
-                    requests = []
-                    for i in range(self.READS_PER_CLIENT):
-                        payload = {
-                            "tenant": "uni",
-                            "user": user_ids[(index + i) % len(user_ids)],
-                            "old": pinned[0],
-                            "new": pinned[1],
-                        }
-                        requests.append(
-                            ("/recommend", json.dumps(payload).encode("utf-8"))
-                        )
-                for path, body in requests:
-                    connection.request(
-                        "POST", path, body, {"Content-Type": "application/json"}
-                    )
-                    response = connection.getresponse()
-                    payload = response.read()
-                    assert response.status == 200, payload[:200]
-                    captured[index].append(payload)
-            except BaseException as exc:
-                errors.append(exc)
-                barrier.abort()
-            finally:
-                connection.close()
-
-        threads = [
-            threading.Thread(target=client_loop, args=(i,), daemon=True)
-            for i in range(self.CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return captured
-
-    def test_async_equals_threaded_under_mixed_load(self):
-        captures = {}
-        for transport in ("threaded", "async"):
-            world = generate_world(seed=SEED, config=WORLD_CONFIG)
-            ids = world.kb.version_ids()
-            pinned = (ids[-2], ids[-1])
-            user_ids = [user.user_id for user in world.users]
-            service = RecommendationService(ServiceConfig(k=3, workers=2))
-            service.add_tenant("uni", world.kb, world.users)
-            try:
-                if transport == "threaded":
-                    server = make_server(service, host="127.0.0.1", port=0)
-                    thread = threading.Thread(
-                        target=server.serve_forever, daemon=True
-                    )
-                    thread.start()
-                    try:
-                        captures[transport] = self._capture(
-                            *server.server_address[:2], user_ids, pinned
-                        )
-                    finally:
-                        server.shutdown()
-                        server.server_close()
-                else:
-                    with AsyncServerThread(service) as aio:
-                        captures[transport] = self._capture(
-                            *aio.address, user_ids, pinned
-                        )
-            finally:
-                service.close()
-        assert captures["threaded"] == captures["async"]
-        # Sanity: the streams really mixed commits with reads.
-        assert len(captures["async"][0]) == self.COMMITS
-        assert all(
-            len(per_client) == self.READS_PER_CLIENT
-            for per_client in captures["async"][1:]
+    def test_front_end_equals_serial_replay_under_mixed_load(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_service", ROOT / "benchmarks" / "bench_service.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        # 4 clients: one commits 3 versions, three each read 8 times.
+        assert bench._mixed_stream_bit_identical(
+            WORLD_CONFIG, ServiceConfig(k=3, workers=2), requests_per_client=8
         )

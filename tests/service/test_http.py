@@ -1,4 +1,5 @@
-"""HTTP front-end tests: JSON round-trips against an ephemeral-port server."""
+"""HTTP front-end tests: JSON round-trips against an ephemeral-port server
+over a single-process service (the router's are in test_sharding.py)."""
 
 import json
 import threading
@@ -12,8 +13,7 @@ from repro.kb.ntriples import serialize
 from repro.kb.namespaces import RDF_TYPE
 from repro.kb.graph import Graph
 from repro.kb.triples import Triple
-from repro.service import RecommendationService, ServiceConfig
-from repro.service.http import make_server
+from repro.service import AsyncServerThread, RecommendationService, ServiceConfig
 from repro.synthetic.config import (
     EvolutionConfig,
     InstanceConfig,
@@ -38,14 +38,10 @@ def served():
     world = generate_world(seed=11, config=WORLD_CONFIG)
     service = RecommendationService(ServiceConfig(k=4, workers=2))
     service.add_tenant("uni", world.kb, world.users)
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield world, service, f"http://127.0.0.1:{server.server_address[1]}"
+        with AsyncServerThread(service) as server:
+            yield world, service, f"http://127.0.0.1:{server.address[1]}"
     finally:
-        server.shutdown()
-        server.server_close()
         service.close()
 
 

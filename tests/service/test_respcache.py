@@ -1,7 +1,7 @@
 """Response-cache plane tests: the LRU/singleflight core, the service
 wiring (epoch invalidation, differential byte-identity under a mixed
-read/commit hammer), the HTTP conditional-GET contract on both
-front-ends, and the process-local guarantee on the sharded plane.
+read/commit hammer), the HTTP conditional-GET contract, and the
+process-local guarantee on the sharded plane.
 
 The load-bearing assertions mirror the substrate's invariant: the cache
 may only ever change the *cost* of a response, never its bytes.
@@ -26,7 +26,7 @@ from repro.service import (
     ShardSupervisor,
     make_etag,
 )
-from repro.service.http import etag_matches, make_server
+from repro.service.http import etag_matches
 from repro.synthetic.config import (
     EvolutionConfig,
     InstanceConfig,
@@ -446,7 +446,7 @@ class TestServiceCachedReads:
             assert not svc.recommend_cached("uni", user).hit
 
 
-# -- HTTP front-ends -----------------------------------------------------------------
+# -- HTTP front-end -----------------------------------------------------------------
 
 
 def _post_raw(base, path, payload, headers=None):
@@ -469,18 +469,14 @@ def cached_http():
     world = _world()
     service = RecommendationService(CACHED_CONFIG)
     service.add_tenant("uni", world.kb, world.users)
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield world, service, f"http://127.0.0.1:{server.server_address[1]}"
+        with AsyncServerThread(service) as server:
+            yield world, service, f"http://127.0.0.1:{server.address[1]}"
     finally:
-        server.shutdown()
-        server.server_close()
         service.close()
 
 
-class TestThreadedConditionalGet:
+class TestConditionalGet:
     def test_etag_and_304_round_trip(self, cached_http):
         world, service, base = cached_http
         body = {"tenant": "uni", "user": world.users[0].user_id}
@@ -504,24 +500,53 @@ class TestThreadedConditionalGet:
         # Wire bytes are exactly the cached bytes.
         assert service.recommend_cached("uni", world.users[0].user_id).body == first
 
+    def test_etag_304_and_cross_frontend_byte_identity(self, cached_http):
+        """The front-end over a cached shard process revalidates with 304 and
+        serves its cache hit as the very bytes the single-process one does."""
+        world, _, single_base = cached_http
+        twin = _world()
+        supervisor = ShardSupervisor(shards=1, config=CACHED_CONFIG)
+        supervisor.add_tenant("uni", twin.kb, twin.users)
+        supervisor.start()
+        try:
+            with AsyncServerThread(supervisor) as router:
+                base = f"http://127.0.0.1:{router.address[1]}"
+                body = {"tenant": "uni", "user": world.users[1].user_id}
+                status, headers, routed = _post_raw(base, "/recommend", body)
+                assert status == 200
+                etag = headers["ETag"]
+                assert etag == make_etag(routed)
+                status, headers, empty = _post_raw(
+                    base, "/recommend", body, headers={"If-None-Match": etag}
+                )
+                assert status == 304 and empty == b""
+                assert headers["ETag"] == etag
+                # Both front-ends serve the same cached bytes.
+                _, single_headers, direct = _post_raw(single_base, "/recommend", body)
+                assert direct == routed
+                assert single_headers["ETag"] == etag
+            (shard_stats,) = supervisor.stats()["shards"].values()
+            cache = shard_stats["per_tenant"]["uni"]["cache"]
+            assert cache["misses"] == 1 and cache["hits"] == 1
+        finally:
+            supervisor.close()
+
     def test_cache_off_same_bytes_same_etag(self, cached_http):
         world, _, cached_base = cached_http
         twin = generate_world(seed=11, config=WORLD_CONFIG)
         plain = RecommendationService(PLAIN_CONFIG)
         plain.add_tenant("uni", twin.kb, twin.users)
-        server = make_server(plain, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            plain_base = f"http://127.0.0.1:{server.server_address[1]}"
-            body = {"tenant": "uni", "user": world.users[0].user_id}
-            _, cached_headers, cached_bytes = _post_raw(cached_base, "/recommend", body)
-            _, plain_headers, plain_bytes = _post_raw(plain_base, "/recommend", body)
+            with AsyncServerThread(plain) as server:
+                plain_base = f"http://127.0.0.1:{server.address[1]}"
+                body = {"tenant": "uni", "user": world.users[0].user_id}
+                _, cached_headers, cached_bytes = _post_raw(
+                    cached_base, "/recommend", body
+                )
+                _, plain_headers, plain_bytes = _post_raw(plain_base, "/recommend", body)
             assert cached_bytes == plain_bytes
             assert cached_headers["ETag"] == plain_headers["ETag"]
         finally:
-            server.shutdown()
-            server.server_close()
             plain.close()
 
     def test_error_taxonomy_untouched(self, cached_http):
@@ -533,30 +558,6 @@ class TestThreadedConditionalGet:
             base, "/recommend", {"tenant": "ghost", "user": "u"}
         )
         assert status == 404
-
-
-class TestAsyncConditionalGet:
-    def test_etag_304_and_cross_frontend_byte_identity(self, cached_http):
-        world, service, threaded_base = cached_http
-        with AsyncServerThread(service) as aio:
-            host, port = aio.address
-            base = f"http://{host}:{port}"
-            body = {"tenant": "uni", "user": world.users[1].user_id}
-            status, headers, async_bytes = _post_raw(base, "/recommend", body)
-            assert status == 200
-            etag = headers["ETag"]
-            assert etag == make_etag(async_bytes)
-            status, headers, empty = _post_raw(
-                base, "/recommend", body, headers={"If-None-Match": etag}
-            )
-            assert status == 304 and empty == b""
-            assert headers["ETag"] == etag
-            # Both front-ends serve the same cached bytes.
-            _, t_headers, threaded_bytes = _post_raw(
-                threaded_base, "/recommend", body
-            )
-            assert threaded_bytes == async_bytes
-            assert t_headers["ETag"] == etag
 
 
 # -- sharded plane -------------------------------------------------------------------

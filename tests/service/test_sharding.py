@@ -1,4 +1,4 @@
-"""Sharded serving tests: routing, supervisor, HTTP router, bit-identity.
+"""Sharded serving tests: routing, supervisor, HTTP front-end, bit-identity.
 
 The load-bearing assertion mirrors the single-process suite's: running
 the same tenants behind a :class:`ShardSupervisor` (N worker processes,
@@ -12,6 +12,7 @@ so the two stay replicas throughout.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -23,6 +24,7 @@ from repro.kb.namespaces import RDF_TYPE
 from repro.kb.triples import Triple
 from repro.recommender.engine import EngineConfig
 from repro.service import (
+    AsyncServerThread,
     RecommendationService,
     ServiceConfig,
     ServiceError,
@@ -30,8 +32,8 @@ from repro.service import (
     TenantRegistry,
     UnknownTenantError,
     UnknownUserError,
+    make_etag,
 )
-from repro.service.http import make_router_server
 from repro.synthetic.config import (
     EvolutionConfig,
     InstanceConfig,
@@ -240,17 +242,20 @@ class TestShardedCommits:
 
 
 class TestShardedHTTPRouter:
+    """The one HTTP front-end over the supervisor: same wire contract as
+    over a single-process service (raw bytes, ETags, 304s, SSE, alerts)."""
+
     @pytest.fixture()
     def served(self, topologies):
         world, single, supervisor = topologies
-        server = make_router_server(supervisor, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield world, single, f"http://127.0.0.1:{server.server_address[1]}"
-        finally:
-            server.shutdown()
-            server.server_close()
+        with AsyncServerThread(supervisor) as router:
+            yield world, single, f"http://127.0.0.1:{router.address[1]}"
+
+    @pytest.fixture()
+    def single_base(self, topologies):
+        _, single, _ = topologies
+        with AsyncServerThread(single) as server:
+            yield f"http://127.0.0.1:{server.address[1]}"
 
     @staticmethod
     def _get(base, path):
@@ -258,17 +263,23 @@ class TestShardedHTTPRouter:
             return response.status, json.loads(response.read())
 
     @staticmethod
-    def _post(base, path, payload):
+    def _post_raw(base, path, payload, headers=None):
+        """POST -> (status, header dict, raw body bytes); 304-aware."""
         request = urllib.request.Request(
             f"{base}{path}",
             data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
+            headers={"Content-Type": "application/json", **(headers or {})},
         )
         try:
             with urllib.request.urlopen(request, timeout=60) as response:
-                return response.status, json.loads(response.read())
+                return response.status, dict(response.headers), response.read()
         except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+            return error.code, dict(error.headers), error.read()
+
+    @classmethod
+    def _post(cls, base, path, payload):
+        status, _, body = cls._post_raw(base, path, payload)
+        return status, json.loads(body)
 
     def test_health_reports_shards(self, served):
         _, _, base = served
@@ -323,6 +334,93 @@ class TestShardedHTTPRouter:
         status, body = self._get(base, "/tenants")
         assert status == 200
         assert body["tenants"] == single.tenants()
+
+    def test_recommend_bytes_and_etag_equal_single_process_front_end(
+        self, served, single_base
+    ):
+        world, _, base = served
+        ids = world.kb.version_ids()
+        for tenant in TENANTS:
+            for payload in (
+                {"tenant": tenant, "user": world.users[0].user_id},
+                {"tenant": tenant, "user": world.users[3].user_id, "k": 2,
+                 "old": ids[0], "new": ids[1]},
+            ):
+                status, headers, routed = self._post_raw(base, "/recommend", payload)
+                assert status == 200
+                _, single_headers, direct = self._post_raw(
+                    single_base, "/recommend", payload
+                )
+                assert routed == direct, payload
+                assert headers["ETag"] == single_headers["ETag"] == make_etag(routed)
+
+    def test_if_none_match_gets_304(self, served):
+        world, _, base = served
+        payload = {"tenant": TENANTS[1], "user": world.users[2].user_id}
+        status, headers, first = self._post_raw(base, "/recommend", payload)
+        assert status == 200
+        status, revalidated, empty = self._post_raw(
+            base, "/recommend", payload, headers={"If-None-Match": headers["ETag"]}
+        )
+        assert status == 304 and empty == b""
+        assert revalidated["ETag"] == headers["ETag"]
+
+    def test_events_stream_router_stats(self, served, topologies):
+        _, _, supervisor = topologies
+        _, _, base = served
+        with urllib.request.urlopen(
+            f"{base}/events?interval=0.05&count=2", timeout=30
+        ) as response:
+            assert response.headers["Content-Type"] == "text/event-stream"
+            raw = response.read()
+        frames = [frame for frame in raw.split(b"\n\n") if frame]
+        assert len(frames) == 2
+        for seq, frame in enumerate(frames):
+            event, frame_id, data = frame.split(b"\n")
+            assert event == b"event: stats"
+            assert frame_id == f"id: {seq}".encode()
+            stats = json.loads(data[len(b"data: "):])
+            assert set(stats) == set(supervisor.stats())
+            assert set(stats["shards"]) == {"shard_0", "shard_1"}
+
+    def test_alerts_answers(self, served):
+        _, _, base = served
+        status, body = self._get(base, "/alerts")
+        assert status == 200
+        assert body["status"] == "ok" and body["alerts"] == []
+
+    def test_timed_out_read_leaves_the_pipe_serving(self):
+        # The front-end cancels a read that misses request_timeout_s; the
+        # shard still answers it later, and that answer must not kill the
+        # pipe's reader thread.
+        world = generate_world(seed=5, config=WORLD_CONFIG)
+        config = ServiceConfig(
+            k=4, workers=2, request_timeout_s=1e-4, engine=EngineConfig(k=4)
+        )
+        supervisor = ShardSupervisor(shards=1, config=config)
+        supervisor.add_tenant("solo", world.kb, world.users)
+        supervisor.start()
+        user_id = world.users[0].user_id
+        try:
+            with AsyncServerThread(supervisor) as router:
+                status, _, _ = self._post_raw(
+                    f"http://127.0.0.1:{router.address[1]}",
+                    "/recommend",
+                    {"tenant": "solo", "user": user_id},
+                )
+            assert status == 504
+            # Once the shard has completed the abandoned read, its answer
+            # precedes every later reply on the pipe.
+            deadline = time.monotonic() + 30
+            while True:
+                shard = supervisor.stats()["shards"]["shard_0"]
+                if shard["per_tenant"]["solo"]["completed"] >= 1:
+                    break
+                assert time.monotonic() < deadline, "abandoned read never completed"
+                time.sleep(0.01)
+            assert supervisor.recommend("solo", user_id, timeout=30)["items"]
+        finally:
+            supervisor.close()
 
 
 class TestSupervisorLifecycle:

@@ -376,71 +376,84 @@ class TestDurabilityGate:
         assert "fresh.durability.log_bounded" in capsys.readouterr().out
 
 
-def _async_report(bit_identical=True, ratio=6.0, **overrides):
+def _http_report(bit_identical=True, threads_half=7, **overrides):
     idle = {
-        "thread_budget": 40,
-        "target_connections": 240,
-        "sustained_threaded": 40,
-        "sustained_async": 240,
-        "ratio": ratio,
+        "connections_half": 120,
+        "threads_half": threads_half,
+        "connections": 240,
+        "threads": 7,
     }
     idle.update(overrides.pop("idle", {}))
     section = {
-        "meta": {"transport": "asyncio"},
+        "meta": {"transport": "http"},
         "levels": {},
         "idle_keepalive": idle,
         "responses_bit_identical": bit_identical,
     }
     section.update(overrides)
-    return {"service_async": section}
+    return {"service_http": section}
 
 
 class TestAsyncGate:
+    """``check_async`` gates the asyncio front-end's ``service_http`` section."""
+
     def test_absent_section_yields_no_verdicts(self, gate):
         assert gate.check_async(_report(a=10.0)) == []
 
     def test_healthy_section_passes(self, gate):
-        verdicts = gate.check_async(_async_report())
+        verdicts = gate.check_async(_http_report())
         assert [v.name for v in verdicts] == [
-            "service_async.bit_identical", "service_async.idle_ratio",
+            "service_http.bit_identical", "service_http.idle_threads",
         ]
         assert all(v.ok for v in verdicts)
 
     def test_bit_identity_false_fails(self, gate):
-        verdicts = gate.check_async(_async_report(bit_identical=False))
+        verdicts = gate.check_async(_http_report(bit_identical=False))
         by_name = {v.name: v for v in verdicts}
-        assert not by_name["service_async.bit_identical"].ok
+        assert not by_name["service_http.bit_identical"].ok
 
     def test_missing_bit_identity_fails_like_false(self, gate):
-        report = _async_report()
-        del report["service_async"]["responses_bit_identical"]
+        report = _http_report()
+        del report["service_http"]["responses_bit_identical"]
         by_name = {v.name: v for v in gate.check_async(report)}
-        assert not by_name["service_async.bit_identical"].ok
+        assert not by_name["service_http.bit_identical"].ok
 
-    def test_ratio_below_floor_fails(self, gate):
-        verdicts = gate.check_async(_async_report(ratio=3.9))
+    def test_thread_growth_fails(self, gate):
+        verdicts = gate.check_async(_http_report(threads_half=6))
         by_name = {v.name: v for v in verdicts}
-        assert not by_name["service_async.idle_ratio"].ok
+        assert not by_name["service_http.idle_threads"].ok
 
-    def test_ratio_exactly_at_floor_passes(self, gate):
-        verdicts = gate.check_async(_async_report(ratio=4.0))
-        by_name = {v.name: v for v in verdicts}
-        assert by_name["service_async.idle_ratio"].ok
+    def test_too_few_idle_connections_fails(self, gate):
+        def idle_ok(connections):
+            report = _http_report(
+                idle={"connections_half": connections // 2, "connections": connections}
+            )
+            return {v.name: v for v in gate.check_async(report)}[
+                "service_http.idle_threads"
+            ].ok
 
-    def test_missing_ratio_fails(self, gate):
-        report = _async_report()
-        del report["service_async"]["idle_keepalive"]["ratio"]
+        assert gate.HTTP_MIN_IDLE_CONNECTIONS == 240
+        assert not idle_ok(239)
+        assert idle_ok(240)
+
+    def test_missing_idle_block_fails(self, gate):
+        report = _http_report()
+        del report["service_http"]["idle_keepalive"]
         by_name = {v.name: v for v in gate.check_async(report)}
-        assert not by_name["service_async.idle_ratio"].ok
+        assert not by_name["service_http.idle_threads"].ok
 
     def test_invalid_floor_rejected(self, gate):
-        with pytest.raises(ValueError):
-            gate.check_async(_async_report(), min_idle_ratio=0)
+        # The N/2 reference count is the comparison's floor: comparing N
+        # idle connections with N (or with none) would pass vacuously.
+        for half in (240, 0):
+            report = _http_report(idle={"connections_half": half})
+            by_name = {v.name: v for v in gate.check_async(report)}
+            assert not by_name["service_http.idle_threads"].ok
 
     def test_main_always_gates_the_baseline_async_section(
         self, gate, tmp_path, capsys
     ):
-        baseline = {**_report(a=10.0), **_async_report(bit_identical=False)}
+        baseline = {**_report(a=10.0), **_http_report(bit_identical=False)}
         baseline_path = tmp_path / "base.json"
         baseline_path.write_text(json.dumps(baseline))
         fresh_path = tmp_path / "fresh.json"
@@ -449,29 +462,10 @@ class TestAsyncGate:
             ["--baseline", str(baseline_path), "--fresh", str(fresh_path)]
         )
         assert code == 1
-        assert "service_async.bit_identical" in capsys.readouterr().out
-
-    def test_fresh_async_flag(self, gate, tmp_path, capsys):
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(_report(a=10.0)))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        async_path = tmp_path / "async.json"
-        async_path.write_text(json.dumps(_async_report(ratio=1.5)))
-        code = gate.main(
-            [
-                "--baseline", str(baseline_path),
-                "--fresh", str(fresh_path),
-                "--fresh-async", str(async_path),
-            ]
-        )
-        assert code == 1
-        assert "fresh.service_async.idle_ratio" in capsys.readouterr().out
+        assert "service_http.bit_identical" in capsys.readouterr().out
 
     def test_committed_baseline_async_section_gates_itself(self, gate):
         baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        if "service_async" not in baseline:
-            pytest.skip("baseline has no service_async section yet")
         verdicts = gate.check_async(baseline)
         assert verdicts and all(v.ok for v in verdicts)
 

@@ -315,8 +315,8 @@ class TestServeCacheFlags:
 
     def test_knobs_reach_service_config(self):
         # The knobs land in the shared ServiceConfig, which is exactly the
-        # object the single-process service, the async front-end and the
-        # sharded supervisor's worker processes are all built from.
+        # object the single-process service and the sharded supervisor's
+        # worker processes are all built from.
         from repro.service import ServiceConfig
 
         config = ServiceConfig(cache_entries=128, cache_bytes=1 << 20)
@@ -327,28 +327,19 @@ class TestServeCacheFlags:
 
 
 class TestServeAsyncFlags:
-    def test_async_rejects_sharded_topology(self, world_dir):
-        for extra in (["--shards", "2"], ["--replicas", "2"]):
-            with pytest.raises(SystemExit, match="single-process only"):
+    def test_front_end_flags_apply_to_every_topology(self, world_dir):
+        # One front-end serves every topology, so its flags are validated
+        # the same way with or without shards (and before any spawn).
+        for extra in ([], ["--shards", "2"]):
+            with pytest.raises(SystemExit, match="events_interval must be > 0"):
                 main(
                     [
                         "serve",
                         "--kb", str(world_dir / "kb"),
                         "--users", str(world_dir / "users.json"),
-                        "--async", *extra,
+                        "--events-interval", "0", *extra,
                     ]
                 )
-
-    def test_events_interval_requires_async(self, world_dir):
-        with pytest.raises(SystemExit, match="only applies with --async"):
-            main(
-                [
-                    "serve",
-                    "--kb", str(world_dir / "kb"),
-                    "--users", str(world_dir / "users.json"),
-                    "--events-interval", "0.5",
-                ]
-            )
 
     def test_bad_alert_threshold_rejected(self, world_dir):
         with pytest.raises(SystemExit, match="p99_ms"):

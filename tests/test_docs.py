@@ -1,8 +1,9 @@
 """Documentation contract tests.
 
 The docs are part of the deployment contract, so CI treats them like
-code: every relative link and file pointer must resolve, every serve
-flag must appear in the operator manual, the frozen /stats field list in
+code: every relative link and file pointer must resolve (including the
+root documents code, benchmarks and tests name), every serve flag must
+appear in the operator manual, the frozen /stats field list in
 the API reference must match the live payload, and the README quickstart
 must be the exact command sequence the docs CI job executes.
 """
@@ -25,6 +26,8 @@ DOC_FILES = [
 ]
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+#: A bare upper-case document name (``README.md``), not part of a path.
+_ROOT_DOC = re.compile(r"(?<![\w/.-])([A-Z][A-Z0-9_-]*\.md)\b")
 _BACKTICK = re.compile(r"`([^`\n]+)`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
@@ -78,6 +81,22 @@ class TestLinks:
                 if not (ROOT / candidate).exists():
                     missing.append(candidate)
         assert not missing, f"{doc.name}: dangling file pointers {missing}"
+
+
+class TestRootDocPointers:
+    def test_named_root_documents_exist(self):
+        """Code, benchmarks and tests may name a root document only if the
+        repository has it: a pointer to a missing file is worse than none."""
+        missing = []
+        for top in ("src", "benchmarks", "tests"):
+            for path in sorted((ROOT / top).rglob("*")):
+                if not path.is_file() or "__pycache__" in path.parts:
+                    continue
+                text = path.read_text(encoding="utf-8", errors="ignore")
+                for name in sorted(set(_ROOT_DOC.findall(text))):
+                    if not (ROOT / name).exists():
+                        missing.append(f"{path.relative_to(ROOT)}: {name}")
+        assert not missing, f"pointers to missing root documents: {missing}"
 
 
 class TestOperationsManual:
