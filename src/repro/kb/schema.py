@@ -24,7 +24,10 @@ hand out one view per version; a child view can additionally be hinted with
 its parent's view plus the commit delta (:meth:`SchemaView.seed_from_parent`),
 which lets the artefact layers above maintain expensive derived state
 (betweenness, semantic centralities, relative cardinalities) incrementally
-instead of recomputing it cold per version.
+instead of recomputing it cold per version.  The parent is held weakly, so
+no view keeps its ancestors (and their graphs) alive: once a parent view is
+released the hint lapses and the child's artefacts compute cold, with the
+same bits.
 
 Views are safe to share across threads (the serving layer scores many
 concurrent requests against the same immutable version snapshots): every
@@ -38,6 +41,7 @@ recompute the same deterministic value, never observe a torn cache.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -141,7 +145,9 @@ class SchemaView:
         self._edges_by_prop: Dict[IRI, Tuple[PropertyEdge, ...]] | None = None
         self._link_index: "_LinkIndex | None" = None
         self._neighborhoods: Dict[IRI, FrozenSet[IRI]] = {}
-        self._parent_hint: Optional[Tuple["SchemaView", FrozenSet, FrozenSet]] = None
+        self._parent_hint: Optional[
+            Tuple["weakref.ref[SchemaView]", FrozenSet, FrozenSet]
+        ] = None
         self._parent_revision: int | None = None
         self._affected: FrozenSet[IRI] | None = None
         self._affected_dilated: FrozenSet[IRI] | None = None
@@ -214,10 +220,14 @@ class SchemaView:
         :meth:`delta_affected_classes` bounds which cached values may have
         changed.  The hint is advisory: with no parent artefacts computed,
         everything falls back to the cold path.
+
+        ``parent`` is held through a weak reference, so a chain of seeded
+        views never keeps its ancestors alive; a fill that reads the hint
+        holds the parent in a local for as long as it needs it.
         """
         with self._lock:
             self._revalidate()
-            self._parent_hint = (parent, frozenset(added), frozenset(deleted))
+            self._parent_hint = (weakref.ref(parent), frozenset(added), frozenset(deleted))
             self._parent_revision = parent.graph.revision
             self._affected = None
             self._affected_dilated = None
@@ -229,20 +239,25 @@ class SchemaView:
         recorded delta then no longer describes the parent -> child
         difference, and carrying parent cache entries (refilled against the
         mutated parent graph) would smuggle stale values past the child's
-        own revision guard.
+        own revision guard.  It is also dropped once the parent view has
+        been released (a compacted version frees its view), and the
+        caller's artefacts then compute cold.
         """
         self._revalidate()
         # Read once into a local: a concurrent thread may clear the hint
         # between a None-check and a re-read of the attribute.
         hint = self._parent_hint
-        if hint is not None and hint[0].graph.revision != self._parent_revision:
+        if hint is None:
+            return None
+        parent = hint[0]()
+        if parent is None or parent.graph.revision != self._parent_revision:
             with self._lock:
                 self._parent_hint = None
                 self._parent_revision = None
                 self._affected = None
                 self._affected_dilated = None
-            hint = None
-        return hint
+            return None
+        return (parent, hint[1], hint[2])
 
     def delta_affected_classes(self) -> FrozenSet[IRI] | None:
         """Classes whose derived per-class artefacts may differ from the parent.

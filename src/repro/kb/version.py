@@ -14,7 +14,11 @@ integer-set fast path.  Each version also keeps its full snapshot
 snapshot is a *cache*: :meth:`VersionedKnowledgeBase.compact` drops the
 cached graphs of middle versions, and a compacted version transparently
 rematerialises by replaying the delta chain from its nearest cached
-ancestor.  The delta layer (:mod:`repro.deltas`) reads
+ancestor.  Dropping a version's cache releases its snapshot graph and its
+schema view with every artefact memoised on it (class graph, betweenness,
+semantic caches); what stays is the recorded delta, the metadata and the
+size.  Child views hold their parent view only weakly, so nothing else
+keeps a dropped snapshot alive.  The delta layer (:mod:`repro.deltas`) reads
 :meth:`Version.delta_from_parent` for free adjacent-pair deltas instead of
 re-diffing snapshots.
 """
@@ -147,6 +151,14 @@ class Version:
 
     def drop_graph_cache(self) -> bool:
         """Drop the cached snapshot (and schema view) if rebuildable.
+
+        Releases the snapshot graph and the schema view together with the
+        artefacts memoised on it; the recorded delta stays, so the next
+        :attr:`graph` or :attr:`schema` access rebuilds both bit-identically
+        (the view then seeds from the parent's view if that one is built,
+        and computes cold otherwise).  Readers that already hold the old
+        graph or view keep a valid object; the memory goes when they let
+        go of it.
 
         Returns True when the cache was dropped; root versions and versions
         committed without a recorded delta keep their graph and return False.
@@ -360,8 +372,12 @@ class VersionedKnowledgeBase:
         """Drop the cached snapshots of all middle versions; returns how many.
 
         The root and the latest version stay materialised (the root anchors
-        the delta chain, the latest is what most queries hit).  Compacted
-        versions rebuild transparently -- and cache again -- on next access.
+        the delta chain, the latest is what most queries hit).  Each middle
+        version releases its snapshot graph and its schema view with the
+        artefacts memoised on it (see :meth:`Version.drop_graph_cache`);
+        since child views hold their parents weakly, that memory is freed
+        as soon as no reader holds it.  Compacted versions rebuild
+        transparently -- and cache again -- on next access.
         """
         with self._write_lock:
             dropped = 0

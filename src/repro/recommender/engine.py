@@ -98,7 +98,11 @@ class EngineConfig:
     #: results, candidate pools, scorers, distance tables).  A long-lived
     #: serving engine sees an unbounded stream of pairs as writers commit;
     #: beyond this many the oldest pair's caches are evicted (recomputable,
-    #: never wrong).
+    #: never wrong).  This bounds artefacts, not snapshots: the artefacts
+    #: hold class graphs and scores, never a version's triple graph or
+    #: schema view, so a cached pair does not keep its versions
+    #: materialised (a serving tenant bounds those itself, see
+    #: ``repro.service.registry.RESIDENT_VERSIONS``).
     max_cached_contexts: int = 8
 
     def __post_init__(self) -> None:
@@ -359,8 +363,8 @@ class RecommenderEngine:
         """The relatedness scorer of one context (cached per context).
 
         Scorers are per-context because interest spreading runs over the
-        *new* version's schema: one engine-wide scorer would pin every pair
-        to whichever version was scored first, serving stale spread
+        *new* version's class graph: one engine-wide scorer would pin every
+        pair to whichever version was scored first, serving stale spread
         profiles after a commit.
         """
         context = context or self.context()

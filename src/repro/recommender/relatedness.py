@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.graphtools.adjacency import UndirectedGraph
 from repro.kb.schema import SchemaView
 from repro.kb.terms import IRI
 from repro.measures.structural import class_graph
@@ -49,8 +50,14 @@ def spread_profile(
     to classes within ``depth`` hops; overlapping sources take the maximum
     (scaled by the source's own weight).
     """
+    return _spread_over(profile, class_graph(schema), decay, depth)
+
+
+def _spread_over(
+    profile: InterestProfile, graph: UndirectedGraph, decay: float, depth: int
+) -> InterestProfile:
+    """:func:`spread_profile` over an already-built class graph."""
     require_probability(decay, "decay")
-    graph = class_graph(schema)
     spread: Dict[IRI, float] = dict(profile.class_weights)
     for focus, weight in profile.class_weights.items():
         if weight <= 0:
@@ -203,7 +210,13 @@ class RelatednessScorer:
         require_probability(alpha, "alpha")
         self._alpha = alpha
         self._model = CollaborativeModel(feedback) if feedback is not None else None
-        self._schema = schema
+        # Spreading reads only the version's class graph, so that is what
+        # the scorer keeps (and only when it spreads): holding the schema
+        # view would pin the version's whole triple graph for as long as
+        # the engine caches this scorer.
+        self._class_graph = (
+            class_graph(schema) if schema is not None and spread_depth > 0 else None
+        )
         self._spread_decay = spread_decay
         self._spread_depth = spread_depth
         self._cold_start_fallback = cold_start_fallback
@@ -214,14 +227,14 @@ class RelatednessScorer:
         self._spread_cache: Dict[str, tuple] = {}
 
     def _effective_user(self, user: User) -> User:
-        if self._schema is None or self._spread_depth <= 0:
+        if self._class_graph is None:
             return user
         cached = self._spread_cache.get(user.user_id)
         if cached is None or cached[0] is not user.profile:
             spread_user = User(
                 user_id=user.user_id,
-                profile=spread_profile(
-                    user.profile, self._schema, self._spread_decay, self._spread_depth
+                profile=_spread_over(
+                    user.profile, self._class_graph, self._spread_decay, self._spread_depth
                 ),
                 name=user.name,
             )

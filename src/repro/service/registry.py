@@ -17,6 +17,11 @@ Concurrency contract:
   :meth:`Tenant.head_pair` reads the current chain head without a lock and
   in-flight requests keep the pair they were admitted on, so a concurrent
   commit can never change what an admitted request scores.
+* **Memory follows the head, not the history.**  After every commit the
+  tenant drops the snapshot of each version outside the root and the
+  :data:`RESIDENT_VERSIONS` newest ones; an explicit read of an older pair
+  rematerialises it through delta replay (same bytes), and the next commit
+  drops it again.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ from repro.profiles.feedback import FeedbackEvent, FeedbackStore
 from repro.profiles.user import User
 from repro.recommender.engine import EngineConfig, RecommenderEngine
 from repro.service.errors import ServiceError, UnknownTenantError, UnknownUserError
+
+#: Versions a serving tenant keeps materialised besides the root (which
+#: anchors delta replay): the head pair plus the previous head pair, which
+#: reads admitted just before a commit may still be filling.
+RESIDENT_VERSIONS = 3
 
 
 class Tenant:
@@ -132,7 +142,7 @@ class Tenant:
                 f"{version.version_id!r} ({exc}); the version is live in "
                 "memory and will be persisted by the next successful hook run",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
     def _run_population_hook(self) -> None:
@@ -220,6 +230,22 @@ class Tenant:
             )
         return ids[-2], ids[-1]
 
+    def _after_commit(self, version: Version) -> Version:
+        """The post-commit step of every commit path (write lock held).
+
+        Runs the commit hook, records the commit, then drops the cached
+        snapshot of every version but the root and the
+        :data:`RESIDENT_VERSIONS` newest, so the tenant's memory tracks
+        the head's size instead of the chain's length.
+        """
+        self._run_commit_hook(version)
+        if self._metrics is not None:
+            self._metrics.record_commit(self.name)
+        versions = list(self.kb)
+        for old in versions[1:-RESIDENT_VERSIONS]:
+            old.drop_graph_cache()
+        return version
+
     def commit(
         self,
         graph: Graph,
@@ -228,11 +254,9 @@ class Tenant:
     ) -> Version:
         """Commit ``graph`` as the tenant's next version (single writer)."""
         with self.write_lock:
-            version = self.kb.commit(graph, version_id=version_id, metadata=metadata)
-            self._run_commit_hook(version)
-            if self._metrics is not None:
-                self._metrics.record_commit(self.name)
-            return version
+            return self._after_commit(
+                self.kb.commit(graph, version_id=version_id, metadata=metadata)
+            )
 
     def commit_changes(
         self,
@@ -243,13 +267,32 @@ class Tenant:
     ) -> Version:
         """Commit the next version as latest + changes (single writer)."""
         with self.write_lock:
-            version = self.kb.commit_changes(
-                added=added, deleted=deleted, version_id=version_id, metadata=metadata
+            return self._after_commit(
+                self.kb.commit_changes(
+                    added=added, deleted=deleted, version_id=version_id, metadata=metadata
+                )
             )
-            self._run_commit_hook(version)
-            if self._metrics is not None:
-                self._metrics.record_commit(self.name)
-            return version
+
+    def commit_recorded(
+        self,
+        added: Iterable[Triple] = (),
+        deleted: Iterable[Triple] = (),
+        version_id: str | None = None,
+        metadata: Dict[str, str] | None = None,
+    ) -> Version:
+        """Append an exact recorded delta as the next version (single writer).
+
+        The replica's commit path: a decoded commit record lands through
+        :meth:`~repro.kb.version.VersionedKnowledgeBase.commit_recorded`,
+        born unmaterialised, and then takes the same post-commit step as
+        :meth:`commit_changes`.
+        """
+        with self.write_lock:
+            return self._after_commit(
+                self.kb.commit_recorded(
+                    added=added, deleted=deleted, version_id=version_id, metadata=metadata
+                )
+            )
 
     def persistence_summary(self) -> Optional[Dict[str, object]]:
         """The commit-log gauge block (None for unpersisted tenants).

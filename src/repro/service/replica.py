@@ -313,15 +313,16 @@ def _replica_main(
             # The generation bump.  Under the tenant write lock the
             # decoded delta lands via commit_recorded -- O(delta), with
             # the dictionary growing by exactly the record's term range,
-            # so replica term ids track the owner's forever.  Running
-            # inline (not on a thread) makes pipe order the commit order:
-            # a recommend the supervisor sends after this record cannot
-            # be admitted on the pre-record head.
+            # so replica term ids track the owner's forever -- and then
+            # takes the tenant's post-commit step like any commit.
+            # Running inline (not on a thread) makes pipe order the commit
+            # order: a recommend the supervisor sends after this record
+            # cannot be admitted on the pre-record head.
             with tenant.write_lock:
                 version_id, metadata, added, deleted = wire.decode_commit(
                     payload["record"], dictionary
                 )
-                tenant.kb.commit_recorded(
+                tenant.commit_recorded(
                     added=added, deleted=deleted,
                     version_id=version_id, metadata=metadata,
                 )

@@ -1,5 +1,8 @@
 """Unit tests for the versioned knowledge base."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.kb.errors import VersionError
@@ -7,6 +10,10 @@ from repro.kb.graph import Graph
 from repro.kb.namespaces import EX
 from repro.kb.triples import Triple
 from repro.kb.version import VersionedKnowledgeBase
+from repro.measures.semantic import centrality
+from repro.measures.structural import betweenness_artefact
+from repro.synthetic.config import EvolutionConfig, SchemaConfig, WorldConfig
+from repro.synthetic.world import generate_world
 
 
 def _t(i: int) -> Triple:
@@ -116,3 +123,53 @@ class TestAccess:
         kb = VersionedKnowledgeBase()
         v = kb.commit(Graph([_t(1), _t(2)]))
         assert len(v) == 2
+
+
+class TestCompactionReleasesMemory:
+    """``compact()`` frees what it drops, and the rebuilt views agree bit for bit."""
+
+    @staticmethod
+    def _chain() -> VersionedKnowledgeBase:
+        world = generate_world(
+            seed=7,
+            config=WorldConfig(
+                schema=SchemaConfig(n_classes=20, n_properties=12),
+                evolution=EvolutionConfig(n_versions=6, changes_per_version=25),
+            ),
+        )
+        # A fresh chain over the same snapshots: no view built yet, so the
+        # walk below seeds every non-root view from its parent's.
+        kb = VersionedKnowledgeBase("six")
+        for version in world.kb:
+            kb.commit(version.graph, version_id=version.version_id)
+        return kb
+
+    @staticmethod
+    def _artefact_bits(version):
+        schema = version.schema
+        betweenness = betweenness_artefact(schema)[1]
+        centralities = {cls: centrality(schema, cls) for cls in schema.classes()}
+        # repr() round-trips a float exactly, so equal reprs are equal bits.
+        return (
+            {cls: repr(value) for cls, value in betweenness.items()},
+            {cls: repr(value) for cls, value in centralities.items()},
+        )
+
+    def test_compact_frees_middle_views_and_rebuilds_them_bit_identically(self):
+        kb = self._chain()
+        versions = list(kb)
+        assert len(versions) == 6
+        before = [self._artefact_bits(version) for version in versions]
+        middle = versions[1:-1]
+        views = [weakref.ref(version.schema) for version in middle]
+        graphs = [weakref.ref(version.graph) for version in middle]
+        # Each child view was seeded from its parent's.
+        assert all(version.schema.parent_hint() is not None for version in versions[1:])
+        assert kb.compact() == len(middle)
+        gc.collect()
+        assert [ref() for ref in views] == [None] * len(middle)
+        assert [ref() for ref in graphs] == [None] * len(middle)
+        # The head's parent view is gone, so its hint lapsed.
+        assert kb.latest().schema.parent_hint() is None
+        after = [self._artefact_bits(version) for version in versions]
+        assert after == before

@@ -352,6 +352,10 @@ class TestServiceCachedReads:
             # The hammer must actually have spanned commits, or the test
             # proved nothing about mid-commit admissions.
             assert len(pairs_seen) >= 2
+            # Four commits onto three versions push versions out of the
+            # tenant's resident window while readers fill, so the test
+            # also covers snapshots dropped under concurrent reads.
+            assert any(not version.is_materialized for version in cached_world.kb)
 
     def test_epoch_bump_invalidates_exactly_that_tenant(self):
         world_a, world_b, twin = _world(seed=11), _world(seed=12), _world(seed=11)
