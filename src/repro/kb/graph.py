@@ -13,13 +13,31 @@ layers lean on:
 * **set algebra** -- :meth:`difference`, :meth:`__eq__` and bulk
   :meth:`add_all` between graphs sharing a dictionary are C-speed integer-set
   operations (this is what makes low-level delta computation cheap);
-* **copy** -- :meth:`copy` duplicates the id indexes without re-hashing a
-  single term, which the version chain exploits;
+* **copy** -- :meth:`copy` is copy-on-write (see below), so a version
+  chain's snapshots share every index entry no commit touched and deriving
+  a child snapshot costs in proportion to its delta;
 * **counting** -- every pattern shape of :meth:`count`, including
   ``(subject, None, object)``, resolves through an index without
   materialising triples.
 
 Pattern matching follows the usual convention: ``None`` is a wildcard.
+
+Copy-on-write.  Each index is a top-level dict of second-level dicts of
+leaf sets (``spo[s][p] == {o, ...}``).  A :meth:`copy` gets its own key set
+and its own three top-level dicts, and shares every second-level dict and
+leaf set with its source.  Whichever of the two graphs first writes to a
+shared container copies just that container -- the second-level dict, then
+the leaf set -- and records that it now owns it.  Ownership is recorded per
+index by key (the top keys and ``(top, second)`` pairs a graph has copied or
+created), never by container identity.  Copying clears the source's record
+too, since its containers are now shared as well.  A graph that was never
+copied from or to (every bulk build, every fresh graph) writes in place.
+
+Threads: any number of threads may read a graph, and copy it, while no
+thread mutates it.  A graph must not be mutated while another thread reads
+or copies it.  Committed version snapshots are never mutated, so readers,
+commits and delta replay may share them freely; a copy's writes never touch
+a container its source still holds.
 
 >>> from repro.kb.namespaces import EX, RDF_TYPE, RDFS_CLASS
 >>> g = Graph()
@@ -64,6 +82,12 @@ class Graph:
         self._spo: _IntIndex = {}
         self._pos: _IntIndex = {}
         self._osp: _IntIndex = {}
+        # Copy-on-write ownership, one set per index (SPO, POS, OSP): the
+        # top keys whose second-level dict and the (top, second) pairs
+        # whose leaf set this graph owns.  None until the graph is first
+        # copied from or to: it then owns every container and writes in
+        # place.
+        self._owned: Tuple[Set, Set, Set] | None = None
         # Pattern scans memoised as lists until the next mutation (see
         # match()).
         self._scan_cache: Dict[Tuple[int | None, int | None, int | None], list] = {}
@@ -112,9 +136,15 @@ class Graph:
         self._revision += 1
         self._triples.add(key)
         s, p, o = key
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        owned = self._owned
+        if owned is None:
+            self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
+            self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+            self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        else:
+            _own_leaf(self._spo, owned[0], s, p).add(o)
+            _own_leaf(self._pos, owned[1], p, o).add(s)
+            _own_leaf(self._osp, owned[2], o, s).add(p)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add every triple in ``triples``; return how many were new.
@@ -140,23 +170,15 @@ class Graph:
         self._revision += 1
         self._triples.discard(key)
         s, p, o = key
-        self._drop(self._spo, s, p, o)
-        self._drop(self._pos, p, o, s)
-        self._drop(self._osp, o, s, p)
+        owned = self._owned or (None, None, None)
+        _drop(self._spo, owned[0], s, p, o)
+        _drop(self._pos, owned[1], p, o, s)
+        _drop(self._osp, owned[2], o, s, p)
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
         """Remove every triple in ``triples``; return how many were present."""
         return sum(1 for t in triples if self.remove(t))
-
-    @staticmethod
-    def _drop(index: _IntIndex, a: int, b: int, c: int) -> None:
-        leaf = index[a][b]
-        leaf.discard(c)
-        if not leaf:
-            del index[a][b]
-            if not index[a]:
-                del index[a]
 
     # -- queries ----------------------------------------------------------
 
@@ -404,15 +426,26 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent copy of this graph (sharing the term dictionary).
 
-        Only the id indexes are duplicated; no term is re-hashed and no
-        triple re-validated, so copying is proportional to the index size
-        alone.
+        Copy-on-write: the clone gets its own key set and its own three
+        top-level index dicts, and shares every second-level dict and leaf
+        set with this graph.  Whichever graph first writes to a shared
+        container copies just that container, so a copy costs the key set
+        plus one dict entry per distinct term, and each later write costs
+        at most the containers it touches.  This graph's ownership record
+        is cleared as well: its containers are now shared, and its own
+        later writes copy them first.
+
+        Mutating this graph while another thread copies it is not allowed
+        (the copy reads its containers); committed snapshots are never
+        mutated, so any number of threads may copy one.
         """
         clone = Graph(dictionary=self._dict)
         clone._triples = set(self._triples)
-        clone._spo = {s: {p: set(o) for p, o in by_p.items()} for s, by_p in self._spo.items()}
-        clone._pos = {p: {o: set(s) for o, s in by_o.items()} for p, by_o in self._pos.items()}
-        clone._osp = {o: {s: set(p) for s, p in by_s.items()} for o, by_s in self._osp.items()}
+        clone._spo = dict(self._spo)
+        clone._pos = dict(self._pos)
+        clone._osp = dict(self._osp)
+        clone._owned = (set(), set(), set())
+        self._owned = (set(), set(), set())
         return clone
 
     def union(self, other: "Graph") -> "Graph":
@@ -461,3 +494,54 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(<{len(self._triples)} triples>)"
+
+
+# -- copy-on-write index helpers ----------------------------------------------
+
+
+def _own_inner(index: _IntIndex, owned: Set, a: int) -> Dict[int, Set[int]]:
+    """``index[a]`` made this graph's own: created if absent, else copied unless owned."""
+    inner = index.get(a)
+    if inner is None:
+        inner = index[a] = {}
+    elif a in owned:
+        return inner
+    else:
+        inner = index[a] = dict(inner)
+    owned.add(a)
+    return inner
+
+
+def _own_leaf(index: _IntIndex, owned: Set, a: int, b: int) -> Set[int]:
+    """``index[a][b]`` made this graph's own, its second-level dict first."""
+    inner = _own_inner(index, owned, a)
+    leaf = inner.get(b)
+    pair = (a, b)
+    if leaf is None:
+        leaf = inner[b] = set()
+    elif pair in owned:
+        return leaf
+    else:
+        leaf = inner[b] = set(leaf)
+    owned.add(pair)
+    return leaf
+
+
+def _drop(index: _IntIndex, owned: Set | None, a: int, b: int, c: int) -> None:
+    """Remove ``c`` (known present) from ``index[a][b]``, pruning empties.
+
+    ``owned`` is the index's ownership set, or None when the graph owns
+    every container.  Removing a leaf's last member deletes its entry
+    instead of copying the leaf, and removing a second-level dict's last
+    entry deletes it from the top level, which the graph always owns.
+    """
+    inner = index[a]
+    if len(inner[b]) > 1:
+        leaf = inner[b] if owned is None else _own_leaf(index, owned, a, b)
+        leaf.discard(c)
+    elif len(inner) > 1:
+        if owned is not None:
+            inner = _own_inner(index, owned, a)
+        del inner[b]
+    else:
+        del index[a]

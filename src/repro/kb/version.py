@@ -10,15 +10,18 @@ Storage is **delta-chained with a materialised-graph cache**: every non-root
 :class:`Version` records the low-level changes (added / deleted triples)
 against its parent, computed at commit time with the graph layer's
 integer-set fast path.  Each version also keeps its full snapshot
-:class:`~repro.kb.graph.Graph` so it stays directly queryable -- but that
-snapshot is a *cache*: :meth:`VersionedKnowledgeBase.compact` drops the
-cached graphs of middle versions, and a compacted version transparently
-rematerialises by replaying the delta chain from its nearest cached
-ancestor.  Dropping a version's cache releases its snapshot graph and its
-schema view with every artefact memoised on it (class graph, betweenness,
-semantic caches); what stays is the recorded delta, the metadata and the
-size.  Child views hold their parent view only weakly, so nothing else
-keeps a dropped snapshot alive.  The delta layer (:mod:`repro.deltas`) reads
+:class:`~repro.kb.graph.Graph` so it stays directly queryable.  A child's
+snapshot is a copy-on-write :meth:`~repro.kb.graph.Graph.copy` of its
+parent's with the delta applied, so snapshots share every index entry no
+commit touched.  The snapshot is a *cache*:
+:meth:`VersionedKnowledgeBase.compact` drops the cached graphs of middle
+versions, and a compacted version transparently rematerialises by
+replaying the delta chain from its nearest cached ancestor.  Dropping a
+version's cache releases its snapshot graph and its schema view with
+every artefact memoised on it (class graph, betweenness, semantic
+caches); what stays is the recorded delta, the metadata and the size.
+Child views hold their parent view only weakly, so nothing else keeps a
+dropped snapshot alive.  The delta layer (:mod:`repro.deltas`) reads
 :meth:`Version.delta_from_parent` for free adjacent-pair deltas instead of
 re-diffing snapshots.
 """

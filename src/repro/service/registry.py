@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import warnings
 import zlib
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # ops-plane feeding seam; annotation only
@@ -223,12 +224,13 @@ class Tenant:
         matter how many versions a writer commits before the worker pool
         gets to it.
         """
-        ids = self.kb.version_ids()
-        if len(ids) < 2:
+        head = self.kb.latest() if len(self.kb) else None
+        parent = head.parent if head is not None else None
+        if parent is None:
             raise ServiceError(
                 f"tenant {self.name!r} needs at least two versions to recommend on"
             )
-        return ids[-2], ids[-1]
+        return parent.version_id, head.version_id
 
     def _after_commit(self, version: Version) -> Version:
         """The post-commit step of every commit path (write lock held).
@@ -236,14 +238,17 @@ class Tenant:
         Runs the commit hook, records the commit, then drops the cached
         snapshot of every version but the root and the
         :data:`RESIDENT_VERSIONS` newest, so the tenant's memory tracks
-        the head's size instead of the chain's length.
+        the head's size instead of the chain's length.  Versions that are
+        not materialised are skipped without taking their build lock
+        (``drop_graph_cache`` re-checks under it), so a steady-state
+        commit drops exactly the one version that left the window.
         """
         self._run_commit_hook(version)
         if self._metrics is not None:
             self._metrics.record_commit(self.name)
-        versions = list(self.kb)
-        for old in versions[1:-RESIDENT_VERSIONS]:
-            old.drop_graph_cache()
+        for old in islice(self.kb, 1, max(1, len(self.kb) - RESIDENT_VERSIONS)):
+            if old.is_materialized:
+                old.drop_graph_cache()
         return version
 
     def commit(

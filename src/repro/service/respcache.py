@@ -177,6 +177,12 @@ class ResponseCache:
     unbounded on that axis); accounting and the ops counters are kept per
     tenant.  All public methods are thread-safe; the lock is never held
     across a fill computation.
+
+    ``max_bytes`` and the ``bytes`` gauge count response *body* bytes
+    only.  Each entry also keeps the live ``RecommendationPackage`` it was
+    serialised from, which the Python API returns on a hit, so the memory
+    an entry holds is larger than its charge: 64 entries on the perfbench
+    world held 391 KB of live memory against 167 KB counted (about 2.3x).
     """
 
     def __init__(self, max_entries: int = 0, max_bytes: int = 0) -> None:

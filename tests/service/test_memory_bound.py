@@ -10,6 +10,9 @@ flat, reading the head pair after every commit, and checks that:
   other version's view is unreachable;
 * traced live memory grows by less than one head snapshot over the last
   40 commits (the history each commit adds is its delta, not a copy);
+* one commit's traced peak stays below a third of a head snapshot (the
+  child shares every index entry the commit did not touch);
+* a steady-state commit calls ``drop_graph_cache`` on one version only;
 * an explicit read of a dropped pair rebuilds it through delta replay and
   answers with the bytes of an engine over a chain that never drops, and
   the next commit drops it again;
@@ -31,10 +34,12 @@ import pytest
 
 from repro.io.storage import package_to_dict
 from repro.kb import wire
+from repro.kb.graph import Graph
 from repro.kb.namespaces import RDF_TYPE
 from repro.kb.triples import Triple
+from repro.kb.version import Version
 from repro.recommender.engine import EngineConfig, RecommenderEngine
-from repro.service import RecommendationService, ServiceConfig
+from repro.service import RecommendationService, ServiceConfig, TenantRegistry
 from repro.service.registry import RESIDENT_VERSIONS
 from repro.synthetic.config import (
     EvolutionConfig,
@@ -48,6 +53,8 @@ from repro.synthetic.world import generate_world
 
 TENANT = "soak"
 N_COMMITS = 60
+#: The soak's last commits whose traced peak is measured.
+PEAK_COMMITS = 20
 #: Instance-dense, so one head snapshot (about 0.5 MB traced) is large
 #: against what each commit adds to the history (its recorded delta and a
 #: few interned terms, a few KB).
@@ -96,6 +103,12 @@ def _live_bytes():
     return tracemalloc.get_traced_memory()[0]
 
 
+def _unshared_snapshot(version):
+    """A fresh build of ``version``'s triples that shares no index container."""
+    graph = version.graph
+    return Graph.from_interned_keys(graph.dictionary, graph.triple_keys)
+
+
 @pytest.fixture(scope="module")
 def soak():
     """Commit the stream through the service, reading the head after each."""
@@ -104,15 +117,19 @@ def soak():
     users = [user.user_id for user in world.users[:2]]
     with RecommendationService(SERVICE_CONFIG) as service:
         kb = service.add_tenant(TENANT, world.kb, world.users).kb
-        views, live = {}, {}
+        views, live, peaks = {}, {}, []
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             for index, (version_id, added, deleted) in enumerate(stream[:N_COMMITS], 1):
+                tracemalloc.reset_peak()
+                current = tracemalloc.get_traced_memory()[0]
                 service.commit_changes(
                     TENANT, added=added, deleted=deleted, version_id=version_id
                 )
+                if index > N_COMMITS - PEAK_COMMITS:
+                    peaks.append(tracemalloc.get_traced_memory()[1] - current)
                 for user_id in users:
                     service.recommend_cached(TENANT, user_id)
                 for version in kb:
@@ -122,7 +139,7 @@ def soak():
                 if index in (20, N_COMMITS):
                     live[index] = _live_bytes()
             before = _live_bytes()
-            head_copy = kb.latest().graph.copy()
+            head_copy = _unshared_snapshot(kb.latest())
             snapshot_bytes = _live_bytes() - before
             del head_copy
         finally:
@@ -135,6 +152,7 @@ def soak():
             "users": users,
             "views": views,
             "growth": live[N_COMMITS] - live[20],
+            "peaks": peaks,
             "snapshot_bytes": snapshot_bytes,
         }
 
@@ -170,6 +188,17 @@ class TestLongChainMemory:
             f"commits; one head snapshot is {soak['snapshot_bytes']} bytes"
         )
 
+    def test_a_commit_allocates_for_its_delta_not_the_head(self, soak):
+        # A commit derives the child from the head by copy-on-write, so its
+        # traced peak is the key set, the top-level index dicts and the
+        # containers its delta touches -- not a second head snapshot.
+        peaks, snapshot_bytes = soak["peaks"], soak["snapshot_bytes"]
+        assert len(peaks) == PEAK_COMMITS
+        assert max(peaks) < snapshot_bytes / 3, (
+            f"commit peaks {sorted(peaks)} bytes; one head snapshot is "
+            f"{snapshot_bytes} bytes"
+        )
+
     def test_dropped_pair_reads_bit_identically_and_drops_again(self, soak):
         service, kb, stream = soak["service"], soak["kb"], soak["stream"]
         versions = list(kb)
@@ -193,6 +222,34 @@ class TestLongChainMemory:
         service.commit_changes(TENANT, added=added, deleted=deleted, version_id=version_id)
         assert not old.is_materialized and not new.is_materialized
         assert old.schema_if_built is None and new.schema_if_built is None
+
+
+def test_a_steady_state_commit_drops_one_version(monkeypatch):
+    """The drop step visits materialised versions only, whatever the chain length."""
+    world = _world()
+    tenant = TenantRegistry().add(TENANT, world.kb, world.users)
+    stream = _stream(world, 100 - len(world.kb))
+    dropped = []
+    drop_graph_cache = Version.drop_graph_cache
+
+    def counting_drop(version):
+        dropped.append(version.version_id)
+        return drop_graph_cache(version)
+
+    monkeypatch.setattr(Version, "drop_graph_cache", counting_drop)
+    per_commit = []
+    for version_id, added, deleted in stream:
+        before = len(dropped)
+        tenant.commit_changes(added=added, deleted=deleted, version_id=version_id)
+        per_commit.append(len(dropped) - before)
+    assert len(tenant.kb) == 100
+    assert max(per_commit) <= 1, per_commit
+    # Each version that left the window was dropped exactly once.
+    assert sorted(dropped) == sorted(
+        version.version_id for version in list(tenant.kb)[1:-RESIDENT_VERSIONS]
+    )
+    materialised = {v.version_id for v in tenant.kb if v.is_materialized}
+    assert materialised == {v.version_id for v in _resident(tenant.kb)}
 
 
 def test_replica_commit_path_keeps_the_same_window():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.kb.namespaces import RDF_TYPE
 from repro.kb.triples import Triple
+from repro.kb.version import VersionedKnowledgeBase
 from repro.recommender.engine import EngineConfig, RecommenderEngine
 from repro.service import (
     RecommendationService,
@@ -100,6 +101,17 @@ class TestRegistry:
         tenant = TenantRegistry().add("acme", world.kb, world.users)
         ids = world.kb.version_ids()
         assert tenant.head_pair() == (ids[-2], ids[-1])
+
+    def test_head_pair_needs_two_versions(self, world):
+        kb = VersionedKnowledgeBase("short")
+        tenant = TenantRegistry().add("short", kb)
+        with pytest.raises(ServiceError, match="at least two versions"):
+            tenant.head_pair()
+        kb.commit(world.kb.first().graph, version_id="v1")
+        with pytest.raises(ServiceError, match="at least two versions"):
+            tenant.head_pair()
+        kb.commit_changes(version_id="v2")
+        assert tenant.head_pair() == ("v1", "v2")
 
     def test_describe_is_json_friendly(self, world):
         tenant = TenantRegistry().add("acme", world.kb, world.users)
