@@ -188,10 +188,10 @@ def _build_benchmarks(
     # artefacts are warmed once (the steady state of a serving deployment);
     # each round then drops the child's schema view and evaluates the full
     # catalogue on the (parent, child) context from scratch -- the "cold
-    # first evaluation per version" cost the ROADMAP flags.  With
-    # delta-aware artefact seeding this is O(delta); without it (e.g. the
-    # PR-1 baseline) it recomputes Brandes and the semantic cardinalities
-    # cold.
+    # first evaluation per version" cost the ROADMAP flags.  The delta only
+    # types fresh instances, so the class graph is unchanged: the child
+    # reuses the parent's betweenness, and the semantic caches (relative
+    # cardinalities, centralities) compute cold from the child's snapshot.
     cold_state: Dict[str, object] = {}
 
     def cold_first_evaluation():

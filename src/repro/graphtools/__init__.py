@@ -15,7 +15,6 @@ from repro.graphtools.betweenness import (
     raw_betweenness,
 )
 from repro.graphtools.bridging import bridging_centrality, bridging_coefficient
-from repro.graphtools.incremental import BetweennessUpdate, update_raw_betweenness
 from repro.graphtools.spread import spread_interest
 from repro.graphtools.traversal import (
     bfs_distances,
@@ -28,8 +27,6 @@ __all__ = [
     "betweenness_centrality",
     "raw_betweenness",
     "normalize_betweenness",
-    "BetweennessUpdate",
-    "update_raw_betweenness",
     "bridging_centrality",
     "bridging_coefficient",
     "spread_interest",

@@ -19,13 +19,14 @@ Implementation notes:
   keeps the loop as the reference).
 * Adjacency index lists are *sorted* and source order follows the node
   list, so the floating-point accumulation order is a pure function of the
-  graph content (given a node insertion order).  The incremental
-  maintenance path (:mod:`repro.graphtools.incremental`) relies on this to
-  carry per-component scores across versions bit-for-bit.
+  graph content (given a node insertion order).  Two graphs with the same
+  nodes in the same order and the same neighbour sets therefore get the
+  same floats, which lets the measure layer reuse a parent version's
+  scores when its class graph is unchanged.
 * Scores are produced in two stages -- :func:`raw_betweenness` (pair-counted
-  once, unnormalized) then :func:`normalize_betweenness` -- so cached raw
-  scores can be renormalized for a different total node count without
-  reaccumulating, again with bit-identical arithmetic.
+  once, unnormalized) then :func:`normalize_betweenness` -- so raw scores
+  (the form the replica warm handoff ships) normalize with bit-identical
+  arithmetic wherever they are installed.
 """
 
 from __future__ import annotations
@@ -153,9 +154,7 @@ def accumulate_dependencies(
     """Accumulate Brandes pair dependencies from ``sources`` into ``centrality``.
 
     Runs one BFS + dependency backpropagation per source, adding each
-    source's contribution to ``centrality`` in place.  Restricting
-    ``sources`` to whole connected components yields exactly those
-    components' betweenness (shortest paths never leave a component).
+    source's contribution to ``centrality`` in place.
 
     Sources run :data:`BLOCK_SOURCES` at a time, one BFS level of the whole
     block per numpy pass.  Every float equals the one-source-at-a-time
@@ -179,9 +178,8 @@ def accumulate_dependencies(
 def raw_betweenness(graph: UndirectedGraph) -> Dict[Node, float]:
     """Unnormalized betweenness with each unordered pair counted once.
 
-    This is the artefact worth caching across versions: raw scores are a
-    per-component quantity (independent of the rest of the graph), and
-    normalization for any total node count is one exact division away.
+    Normalization (:func:`normalize_betweenness`) is one exact division
+    away, so the raw map is the form worth storing and shipping.
     """
     nodes, adjacency = dense_adjacency(graph)
     centrality = [0.0] * len(nodes)

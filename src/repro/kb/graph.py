@@ -448,6 +448,16 @@ class Graph:
         self._owned = (set(), set(), set())
         return clone
 
+    def _forget_ownership(self) -> None:
+        """Clear the ownership record, as if every container were shared.
+
+        For a graph that will not be written again, such as a snapshot
+        rebuilt by delta replay: the record holds one entry per container
+        the graph created or copied, and an empty record is always safe
+        (a later write copies the container first).
+        """
+        self._owned = (set(), set(), set())
+
     def union(self, other: "Graph") -> "Graph":
         """A new graph holding the triples of both graphs."""
         result = self.copy()

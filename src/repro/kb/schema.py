@@ -20,14 +20,14 @@ A :class:`SchemaView` is a *snapshot*: it caches aggressively, pinned to the
 graph's mutation counter -- if the underlying graph changes after the view is
 taken, every cache (including the ``memo`` artefact store) self-invalidates
 on next access, so stale derived values are never served.  Versioned KBs
-hand out one view per version; a child view can additionally be hinted with
-its parent's view plus the commit delta (:meth:`SchemaView.seed_from_parent`),
-which lets the artefact layers above maintain expensive derived state
-(betweenness, semantic centralities, relative cardinalities) incrementally
-instead of recomputing it cold per version.  The parent is held weakly, so
-no view keeps its ancestors (and their graphs) alive: once a parent view is
-released the hint lapses and the child's artefacts compute cold, with the
-same bits.
+hand out one view per version and build it with the parent version's view
+(:attr:`SchemaView.parent`) when that one is built.  Every derived artefact
+computes from the view's own snapshot; the one exception is checked by
+content, not by delta: when a version's class graph equals its parent's,
+the parent's betweenness is reused (:mod:`repro.measures.structural`).
+The parent is held weakly, so no view keeps its ancestors (and their
+graphs) alive: once a parent view is released, :attr:`SchemaView.parent`
+is None and the betweenness computes cold, with the same bits.
 
 Views are safe to share across threads (the serving layer scores many
 concurrent requests against the same immutable version snapshots): every
@@ -45,8 +45,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.kb.errors import SchemaError
 from repro.kb.graph import Graph
@@ -118,8 +117,10 @@ class PropertyEdge:
 class SchemaView:
     """Derived schema view of a graph (see module docstring)."""
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph, parent: "SchemaView | None" = None) -> None:
         self._graph = graph
+        # Weak, so a chain of views never keeps its ancestors alive.
+        self._parent = weakref.ref(parent) if parent is not None else None
         # Reentrant: artefact factories running under memoize() call back
         # into locked fills (e.g. betweenness -> class_edges), and the
         # revalidation path can trigger while the lock is already held.
@@ -145,12 +146,6 @@ class SchemaView:
         self._edges_by_prop: Dict[IRI, Tuple[PropertyEdge, ...]] | None = None
         self._link_index: "_LinkIndex | None" = None
         self._neighborhoods: Dict[IRI, FrozenSet[IRI]] = {}
-        self._parent_hint: Optional[
-            Tuple["weakref.ref[SchemaView]", FrozenSet, FrozenSet]
-        ] = None
-        self._parent_revision: int | None = None
-        self._affected: FrozenSet[IRI] | None = None
-        self._affected_dilated: FrozenSet[IRI] | None = None
         self._memo: Dict[str, object] = {}
 
     def _revalidate(self) -> None:
@@ -203,126 +198,17 @@ class SchemaView:
         """The underlying triple graph."""
         return self._graph
 
-    # -- incremental seeding (delta-aware derived artefacts) -----------------
+    @property
+    def parent(self) -> "SchemaView | None":
+        """The parent version's view; None without one or once it is released.
 
-    def seed_from_parent(
-        self,
-        parent: "SchemaView",
-        added: Iterable,
-        deleted: Iterable,
-    ) -> None:
-        """Declare that this view's graph is ``parent``'s graph plus a delta.
-
-        ``added`` / ``deleted`` are the triples turning the parent graph
-        into this view's graph.  The hint lets artefact layers (structural
-        betweenness, semantic centralities) seed this view's caches from
-        the parent's instead of recomputing from scratch;
-        :meth:`delta_affected_classes` bounds which cached values may have
-        changed.  The hint is advisory: with no parent artefacts computed,
-        everything falls back to the cold path.
-
-        ``parent`` is held through a weak reference, so a chain of seeded
-        views never keeps its ancestors alive; a fill that reads the hint
-        holds the parent in a local for as long as it needs it.
+        Wiring only: an artefact layer reuses a parent artefact only after
+        checking by content that it applies to this view.  A fill that
+        reads the parent should hold it in a local for as long as it
+        needs it.
         """
-        with self._lock:
-            self._revalidate()
-            self._parent_hint = (weakref.ref(parent), frozenset(added), frozenset(deleted))
-            self._parent_revision = parent.graph.revision
-            self._affected = None
-            self._affected_dilated = None
-
-    def parent_hint(self) -> Optional[Tuple["SchemaView", FrozenSet, FrozenSet]]:
-        """The ``(parent view, added, deleted)`` hint, or None.
-
-        The hint is dropped if either graph mutated since seeding: the
-        recorded delta then no longer describes the parent -> child
-        difference, and carrying parent cache entries (refilled against the
-        mutated parent graph) would smuggle stale values past the child's
-        own revision guard.  It is also dropped once the parent view has
-        been released (a compacted version frees its view), and the
-        caller's artefacts then compute cold.
-        """
-        self._revalidate()
-        # Read once into a local: a concurrent thread may clear the hint
-        # between a None-check and a re-read of the attribute.
-        hint = self._parent_hint
-        if hint is None:
-            return None
-        parent = hint[0]()
-        if parent is None or parent.graph.revision != self._parent_revision:
-            with self._lock:
-                self._parent_hint = None
-                self._parent_revision = None
-                self._affected = None
-                self._affected_dilated = None
-            return None
-        return (parent, hint[1], hint[2])
-
-    def delta_affected_classes(self) -> FrozenSet[IRI] | None:
-        """Classes whose derived per-class artefacts may differ from the parent.
-
-        None without a parent hint.  The set is conservative (sound, not
-        minimal): it contains every class that appears or vanishes, every
-        class mentioned by a changed triple, every class of an instance
-        touched by a changed triple (in either version), and -- for changed
-        ``rdfs:domain``/``rdfs:range``/``rdfs:subPropertyOf`` declarations --
-        the domain and range classes of the declared property in both
-        versions.  A class outside this set has identical instance
-        membership, identical instance links and an identical incident
-        schema-edge set in both versions, so per-class values keyed on those
-        (relative cardinalities in particular) carry over exactly.
-        """
-        hint = self.parent_hint()
-        if hint is None:
-            return None
-        if self._affected is None:
-            parent, added, deleted = hint
-            views = (parent, self)
-            known = parent.classes(include_builtin=True) | self.classes(
-                include_builtin=True
-            )
-            affected: Set[IRI] = set(parent.classes() ^ self.classes())
-            structural = (RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBPROPERTYOF)
-            for triple in chain(added, deleted):
-                subject, predicate, obj = triple.subject, triple.predicate, triple.object
-                for term in (subject, obj):
-                    if isinstance(term, IRI) and term in known:
-                        affected.add(term)
-                    for view in views:
-                        affected |= view.classes_of(term)
-                if isinstance(predicate, IRI) and predicate in known:
-                    affected.add(predicate)
-                if predicate in structural and isinstance(subject, IRI):
-                    for view in views:
-                        affected |= view.domain(subject) | view.range(subject)
-            self._affected = frozenset(affected)
-        return self._affected
-
-    def delta_affected_classes_dilated(self) -> FrozenSet[IRI] | None:
-        """The affected set dilated one hop along schema property edges.
-
-        A class's *aggregated* artefacts (semantic in/out-centrality sums)
-        depend on the relative cardinality of every incident edge, and an
-        edge changes when either endpoint is affected -- so aggregates are
-        only safe to carry for classes with no affected edge neighbour in
-        either version.
-        """
-        hint = self.parent_hint()
-        affected = self.delta_affected_classes()
-        if hint is None or affected is None:
-            return None
-        if self._affected_dilated is None:
-            parent = hint[0]
-            dilated: Set[IRI] = set(affected)
-            for view in (parent, self):
-                for cls in affected:
-                    for edge in view.outgoing_properties(cls):
-                        dilated.add(edge.target)
-                    for edge in view.incoming_properties(cls):
-                        dilated.add(edge.source)
-            self._affected_dilated = frozenset(dilated)
-        return self._affected_dilated
+        ref = self._parent
+        return ref() if ref is not None else None
 
     # -- schema elements ----------------------------------------------------
 

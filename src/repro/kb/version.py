@@ -20,15 +20,15 @@ replaying the delta chain from its nearest cached ancestor.  Dropping a
 version's cache releases its snapshot graph and its schema view with
 every artefact memoised on it (class graph, betweenness, semantic
 caches); what stays is the recorded delta, the metadata and the size.
-Child views hold their parent view only weakly, so nothing else keeps a
-dropped snapshot alive.  The delta layer (:mod:`repro.deltas`) reads
-:meth:`Version.delta_from_parent` for free adjacent-pair deltas instead of
-re-diffing snapshots.
+A version's view is linked to its parent's view when that one is built,
+so an unchanged class graph reuses the parent's betweenness; the link is
+weak, so nothing else keeps a dropped snapshot alive.  The delta layer
+(:mod:`repro.deltas`) reads :meth:`Version.delta_from_parent` for free
+adjacent-pair deltas instead of re-diffing snapshots.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
@@ -41,18 +41,6 @@ if TYPE_CHECKING:  # deltas sits above kb; imported lazily at runtime.
     from repro.deltas.lowlevel import LowLevelDelta
 
 _Changes = Tuple[FrozenSet[Triple], FrozenSet[Triple]]
-
-#: When True (the default), a version's schema view is hinted with its
-#: parent's view plus the recorded commit delta, letting derived artefacts
-#: (betweenness, semantic centralities, relative cardinalities) update
-#: incrementally instead of recomputing cold per version.  Settable for
-#: A/B benchmarking, or via the ``REPRO_DISABLE_INCREMENTAL`` environment
-#: variable (conventional falsy spellings -- unset, "", "0", "false", "no"
-#: -- keep seeding on); results are identical either way (the differential
-#: evolution test harness asserts bit-for-bit equality).
-INCREMENTAL_SCHEMA_SEEDING = os.environ.get(
-    "REPRO_DISABLE_INCREMENTAL", ""
-).strip().lower() in ("", "0", "false", "no")
 
 
 class Version:
@@ -150,6 +138,10 @@ class Version:
             added, deleted = version._changes  # type: ignore[misc]
             graph.remove_all(deleted)
             graph.add_all(added)
+        # A snapshot is never written again, so the replay's ownership
+        # record (an entry per container it created or copied) is dead
+        # weight for as long as the version stays cached.
+        graph._forget_ownership()
         return graph
 
     def drop_graph_cache(self) -> bool:
@@ -157,11 +149,9 @@ class Version:
 
         Releases the snapshot graph and the schema view together with the
         artefacts memoised on it; the recorded delta stays, so the next
-        :attr:`graph` or :attr:`schema` access rebuilds both bit-identically
-        (the view then seeds from the parent's view if that one is built,
-        and computes cold otherwise).  Readers that already hold the old
-        graph or view keep a valid object; the memory goes when they let
-        go of it.
+        :attr:`graph` or :attr:`schema` access rebuilds both
+        bit-identically.  Readers that already hold the old graph or view
+        keep a valid object; the memory goes when they let go of it.
 
         Returns True when the cache was dropped; root versions and versions
         committed without a recorded delta keep their graph and return False.
@@ -193,29 +183,22 @@ class Version:
     def schema(self) -> SchemaView:
         """Schema view of this version's snapshot (cached).
 
-        When the parent version's view has already been built (the common
-        case: evaluation sweeps walk the chain in order), the fresh view is
-        seeded with the parent view plus the recorded commit delta, so the
-        expensive derived artefacts memoised on it update in O(delta)
-        instead of O(graph).  Versions without a parent, without a recorded
-        delta, or with a not-yet-built parent view fall back to the cold
-        path -- never recursively forcing ancestor views.
+        When the parent version's view is already built (the common case:
+        evaluation sweeps walk the chain in order), the fresh view is
+        linked to it (:attr:`SchemaView.parent`), so an unchanged class
+        graph reuses the parent's betweenness.  Every other artefact
+        computes from this snapshot.  An unbuilt parent view is never
+        forced: the link is simply absent.
         """
         schema = self._schema
         if schema is None:
             with self._build_lock:
                 schema = self._schema
                 if schema is None:
-                    schema = SchemaView(self.graph)
-                    parent_schema = (
-                        self._parent._schema if self._parent is not None else None
+                    parent = self._parent
+                    schema = SchemaView(
+                        self.graph, parent._schema if parent is not None else None
                     )
-                    if (
-                        INCREMENTAL_SCHEMA_SEEDING
-                        and self._changes is not None
-                        and parent_schema is not None
-                    ):
-                        schema.seed_from_parent(parent_schema, *self._changes)
                     self._schema = schema
         return schema
 

@@ -64,16 +64,14 @@ def relative_cardinality(schema: SchemaView, prop: IRI, source: IRI, target: IRI
 
     RC is a pure function of the schema snapshot, and centrality sums query
     the same edge for both of its endpoint classes (and again per neighbour
-    in :func:`relevance`), so values are memoised on ``schema.memo`` -- and
-    seeded from the parent version's cache when the view carries a commit
-    delta hint (see :func:`_seeded_cache`).
+    in :func:`relevance`), so values are memoised on ``schema.memo``.
     """
-    cache = _seeded_cache(schema, RC_KEY)
+    cache = schema.memoize(RC_KEY, dict)
     key = (prop, source, target)
-    value = cache.get(key)  # type: ignore[union-attr]
+    value = cache.get(key)
     if value is None:
         value = _relative_cardinality_uncached(schema, prop, source, target)
-        cache[key] = value  # type: ignore[index]
+        cache[key] = value
     return value
 
 
@@ -105,73 +103,21 @@ def out_centrality(schema: SchemaView, cls: IRI) -> float:
     )
 
 
-def _seeded_cache(schema: SchemaView, key: str) -> Dict:
-    """The per-schema memo dict for ``key``, seeded from the parent view.
-
-    On first access for a view that carries a parent hint (a versioned-KB
-    commit delta), every parent cache entry whose validity region the delta
-    provably did not touch is carried over, so only delta-affected values
-    are ever recomputed:
-
-    * relative cardinalities (keyed ``(prop, source, target)``) depend on
-      the instance links and membership of their two endpoint classes --
-      carried unless an endpoint is in :meth:`SchemaView.delta_affected_classes`;
-    * centrality sums additionally depend on the class's incident schema
-      edge set and *its neighbours'* cardinalities -- carried unless the
-      class is in the one-hop-dilated affected set.
-
-    Carried values are bit-identical to a cold recomputation: each is a
-    deterministic arithmetic function (fixed summation order over
-    value-sorted schema edges) of quantities the delta left untouched.
-
-    Cache *creation* (with its parent seeding) runs once under the view
-    lock (:meth:`SchemaView.memoize`); the per-entry fills afterwards stay
-    lock-free -- racing threads can at worst recompute the same
-    deterministic value and overwrite it with an identical one.
-    """
-
-    def _build() -> Dict:
-        cache: Dict = {}
-        hint = schema.parent_hint()
-        if hint is not None:
-            parent_cache = hint[0].memo.get(key)
-            if parent_cache:
-                if key == RC_KEY:
-                    affected = schema.delta_affected_classes()
-                    cache.update(
-                        (edge, value)
-                        for edge, value in dict(parent_cache).items()
-                        if edge[1] not in affected and edge[2] not in affected
-                    )
-                else:
-                    affected = schema.delta_affected_classes_dilated()
-                    cache.update(
-                        (cls, value)
-                        for cls, value in dict(parent_cache).items()
-                        if cls not in affected
-                    )
-        return cache
-
-    return schema.memoize(key, _build)
-
-
 def centrality(schema: SchemaView, cls: IRI) -> float:
     """Total semantic centrality ``C(n) = Cin(n) + Cout(n)`` (memoised)."""
-    cache = _seeded_cache(schema, CENTRALITY_KEY)
-    value = cache.get(cls)  # type: ignore[union-attr]
+    cache = schema.memoize(CENTRALITY_KEY, dict)
+    value = cache.get(cls)
     if value is None:
         value = in_centrality(schema, cls) + out_centrality(schema, cls)
-        cache[cls] = value  # type: ignore[index]
+        cache[cls] = value
     return value
 
 
 def relevance(schema: SchemaView, cls: IRI) -> float:
     """Semantic relevance of ``cls`` in one version (see module docstring).
 
-    Memoised per view (the same version's view serves every context that
-    touches it), but *not* seeded across versions: relevance folds in the
-    neighbourhood's centralities and the transitive instance population,
-    whose change region is much wider than the per-class delta footprint.
+    Memoised per view: the same version's view serves every context that
+    touches it.
     """
     cache = schema.memoize(RELEVANCE_KEY, dict)
     value = cache.get(cls)

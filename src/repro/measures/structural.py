@@ -17,11 +17,6 @@ from typing import Callable, Dict, Hashable, Mapping, Tuple
 from repro.graphtools.adjacency import UndirectedGraph
 from repro.graphtools.betweenness import normalize_betweenness, raw_betweenness
 from repro.graphtools.bridging import bridging_centrality
-from repro.graphtools.incremental import (
-    DEFAULT_FALLBACK_RATIO,
-    edge_key_set,
-    update_raw_betweenness,
-)
 from repro.kb.schema import SchemaView
 from repro.kb.terms import IRI
 from repro.measures.base import (
@@ -36,16 +31,11 @@ CentralityFn = Callable[[UndirectedGraph], Mapping[Hashable, float]]
 
 #: Schema-memo keys of the structural artefacts: the class graph, the class
 #: graph with its normalized betweenness map, and the raw (unnormalized)
-#: scores the incremental maintenance path chains on.
+#: scores, which the replica warm handoff ships.
 CLASS_GRAPH_KEY = "structural:class_graph"
 BETWEENNESS_KEY = "structural:betweenness"
 RAW_BETWEENNESS_KEY = "structural:betweenness:raw"
-EDGE_KEYS_KEY = "structural:betweenness:edges"
 BRIDGING_KEY = "structural:bridging"
-
-#: Share of the class graph the delta may touch before incremental
-#: maintenance falls back to a full Brandes pass.
-FALLBACK_RATIO = DEFAULT_FALLBACK_RATIO
 
 
 def class_graph(schema: SchemaView) -> UndirectedGraph:
@@ -54,8 +44,9 @@ def class_graph(schema: SchemaView) -> UndirectedGraph:
     Nodes and edges are inserted in sorted IRI order, so the graph's
     iteration order -- and with it every float accumulation downstream
     (betweenness, bridging coefficients) -- is a pure function of the
-    schema content.  The incremental betweenness path relies on this to
-    carry per-component scores across versions bit-for-bit.
+    schema content.  Two versions with equal class graphs therefore get
+    equal Brandes floats, which lets :func:`betweenness_artefact` reuse a
+    parent's scores.
 
     Memoised on the :class:`SchemaView`, so betweenness, the engine's
     distance table, every user's spread profile, summaries and replica
@@ -72,46 +63,49 @@ def class_graph(schema: SchemaView) -> UndirectedGraph:
     return schema.memoize(CLASS_GRAPH_KEY, _build)
 
 
+def _same_class_graph(graph: UndirectedGraph, other: UndirectedGraph) -> bool:
+    """True when both graphs hold the same nodes in the same order and the
+    same neighbour set per node, so Brandes gives them the same floats."""
+    if len(graph) != len(other):
+        return False
+    return all(
+        a == b and graph.neighbors(a) == other.neighbors(b)
+        for a, b in zip(graph.nodes(), other.nodes())
+    )
+
+
 def betweenness_artefact(schema: SchemaView) -> Tuple[UndirectedGraph, Mapping]:
     """The ``(class graph, normalized betweenness)`` artefact of one version.
 
     Memoised on the :class:`SchemaView` snapshot, so Brandes runs at most
-    once per version -- and, when the view carries a parent hint (versioned
-    KBs seed it at commit), usually not even that: the parent's raw scores
-    are updated through :func:`~repro.graphtools.incremental.update_raw_betweenness`,
-    recomputing only the components the delta touched.
+    once per version.  When the version's class graph equals its parent's
+    (an instance-only commit), the parent's artefact is reused instead:
+    equal graphs with equal node order give equal floats, so the check
+    needs no delta.  It reads the parent's memo dict once, so the
+    artefact and raw map it reuses belong to the same parent graph.
 
     First fill runs under the view's lock (:meth:`SchemaView.memoize`), so
-    concurrent serving threads hitting a cold version share one Brandes /
-    incremental-update pass.  The raw-score and edge-key side artefacts
-    publish before the normalized map, so a parent cache observed by a child
-    fill is never half-written.
+    concurrent serving threads hitting a cold version share one Brandes
+    pass.  The raw map publishes before the artefact, so a child that
+    finds a parent's artefact also finds its raw map.
     """
 
     def _build():
         graph = class_graph(schema)
-        edge_keys = edge_key_set(graph)
-        raw = None
-        hint = schema.parent_hint()
-        if hint is not None:
-            parent = hint[0]
-            parent_graph_map = parent.memo.get(BETWEENNESS_KEY)
-            parent_raw = parent.memo.get(RAW_BETWEENNESS_KEY)
-            if parent_graph_map is not None and parent_raw is not None:
-                update = update_raw_betweenness(
-                    graph,
-                    parent_graph_map[0],
-                    parent_raw,
-                    FALLBACK_RATIO,
-                    edge_keys=edge_keys,
-                    base_edge_keys=parent.memo.get(EDGE_KEYS_KEY),
-                )
-                raw = update.raw
-        if raw is None:
-            raw = raw_betweenness(graph)
-        memo = schema.memo
-        memo[RAW_BETWEENNESS_KEY] = raw
-        memo[EDGE_KEYS_KEY] = edge_keys
+        parent = schema.parent
+        if parent is not None:
+            parent_memo = parent.memo
+            artefact = parent_memo.get(BETWEENNESS_KEY)
+            raw = parent_memo.get(RAW_BETWEENNESS_KEY)
+            if (
+                artefact is not None
+                and raw is not None
+                and _same_class_graph(artefact[0], graph)
+            ):
+                schema.memo[RAW_BETWEENNESS_KEY] = raw
+                return artefact
+        raw = raw_betweenness(graph)
+        schema.memo[RAW_BETWEENNESS_KEY] = raw
         return (graph, normalize_betweenness(raw, len(graph)))
 
     return schema.memoize(BETWEENNESS_KEY, _build)

@@ -244,8 +244,8 @@ class RecommenderEngine:
         objects, so adjacent pairs reuse the delta recorded at commit time
         and every derived artefact memoised on a version's schema view
         (betweenness, semantic centralities) is shared across all contexts
-        touching that version -- walking a chain pair-by-pair updates each
-        artefact incrementally from its parent instead of recomputing cold.
+        touching that version.  A version whose class graph equals its
+        parent's also reuses the parent's betweenness.
         """
         key = (old_id, new_id)
         context = self._contexts_by_pair.get(key)

@@ -40,18 +40,12 @@ from multiprocessing import shared_memory
 from typing import Optional
 
 from repro.graphtools.betweenness import normalize_betweenness
-from repro.graphtools.incremental import edge_key_set
 from repro.io.storage import feedback_from_dicts, users_from_dicts
 from repro.io.store import decode_store_payload
 from repro.kb import wire
 from repro.kb.errors import VersionError
 from repro.measures.semantic import CENTRALITY_KEY, RC_KEY
-from repro.measures.structural import (
-    BETWEENNESS_KEY,
-    EDGE_KEYS_KEY,
-    RAW_BETWEENNESS_KEY,
-    class_graph,
-)
+from repro.measures.structural import BETWEENNESS_KEY, RAW_BETWEENNESS_KEY, class_graph
 from repro.service.errors import ServiceError
 from repro.service.service import RecommendationService, ServiceConfig
 
@@ -216,11 +210,10 @@ def seed_artefacts(kb, artefacts: dict) -> int:
     publish are installed up front:
 
     * ``betweenness`` seeds the raw map plus the ``(class graph,
-      normalized map)`` artefact and the edge-key set -- the graph and
-      edge keys are rebuilt locally (cheap, deterministic), the Brandes
-      pass is what the handoff skips;
+      normalized map)`` artefact -- the graph is rebuilt locally (cheap,
+      deterministic), the Brandes pass is what the handoff skips;
     * ``rc`` / ``centrality`` seed the semantic caches as plain dicts,
-      exactly the shape ``_seeded_cache`` fills.
+      the shape :mod:`repro.measures.semantic` memoises.
 
     Every seeded value is bit-identical to what the skipped recompute
     would produce: the caches are deterministic functions of the snapshot
@@ -240,7 +233,6 @@ def seed_artefacts(kb, artefacts: dict) -> int:
         if raw is not None and BETWEENNESS_KEY not in memo:
             graph = class_graph(version.schema)
             memo[RAW_BETWEENNESS_KEY] = dict(raw)
-            memo[EDGE_KEYS_KEY] = edge_key_set(graph)
             memo[BETWEENNESS_KEY] = (graph, normalize_betweenness(raw, len(graph)))
         rc = entry.get("rc")
         if rc is not None and RC_KEY not in memo:

@@ -254,7 +254,7 @@ def test_bench_world_class_graphs_match_the_reference():
 
 
 def test_component_subsets_match_the_reference():
-    """Sources restricted to whole components, as the incremental path runs them."""
+    """Source subsets spanning whole components match the scalar reference."""
     graph = UndirectedGraph(
         [(0, 1), (1, 2), (2, 3), (1, 3), (10, 11), (11, 12), (20, 21)], nodes=[30]
     )

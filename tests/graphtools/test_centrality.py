@@ -12,13 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphtools.adjacency import UndirectedGraph
-from repro.graphtools.betweenness import (
-    betweenness_centrality,
-    normalize_betweenness,
-    raw_betweenness,
-)
+from repro.graphtools.betweenness import betweenness_centrality
 from repro.graphtools.bridging import bridging_centrality, bridging_coefficient
-from repro.graphtools.incremental import update_raw_betweenness
 
 
 def _to_networkx(graph: UndirectedGraph) -> nx.Graph:
@@ -128,154 +123,3 @@ def test_bridging_centrality_nonnegative_and_bounded(seed, n, p):
     for value in bridging.values():
         assert value >= 0.0
         assert not math.isnan(value)
-
-
-# -- incremental maintenance (repro.graphtools.incremental) -------------------
-
-
-def _copy_graph(graph: UndirectedGraph) -> UndirectedGraph:
-    """A structural copy preserving node insertion order."""
-    return UndirectedGraph(nodes=graph.nodes(), edges=graph.edges())
-
-
-def _mutate(graph: UndirectedGraph, seed: int, ops: int) -> UndirectedGraph:
-    """Apply a random add/delete edge (and add-node) sequence to a copy."""
-    rng = random.Random(seed)
-    new = _copy_graph(graph)
-    nodes = list(new.nodes())
-    fresh = 0
-    for _ in range(ops):
-        action = rng.random()
-        if action < 0.15 or len(nodes) < 2:
-            fresh += 1
-            node = f"fresh_{fresh}"
-            new.add_node(node)
-            if nodes and rng.random() < 0.7:
-                new.add_edge(node, rng.choice(nodes))
-            nodes.append(node)
-        elif action < 0.60:
-            a, b = rng.sample(nodes, 2)
-            new.add_edge(a, b)
-        else:
-            edges = list(new.edges())
-            if edges:
-                new.remove_edge(*rng.choice(edges))
-    return new
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(2, 20),
-    p=st.floats(0.05, 0.6),
-    ops=st.integers(1, 12),
-)
-def test_incremental_update_is_bit_identical_to_full_brandes(seed, n, p, ops):
-    """Random edge add/delete sequences: incremental == full, exactly."""
-    base = _random_graph(seed, n, p)
-    new = _mutate(base, seed + 1, ops)
-    base_raw = raw_betweenness(base)
-    # fallback_ratio=1.0 can never trip (dirty <= n), so this exercises the
-    # genuine carry-over path regardless of how much changed.
-    update = update_raw_betweenness(new, base, base_raw, fallback_ratio=1.0)
-    assert update.incremental
-    assert update.raw == raw_betweenness(new)  # dict ==: bit-for-bit floats
-    assert normalize_betweenness(update.raw, len(new)) == betweenness_centrality(new)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(2, 16),
-    p=st.floats(0.05, 0.6),
-    ops=st.integers(1, 8),
-)
-def test_fallback_path_is_bit_identical_too(seed, n, p, ops):
-    """fallback_ratio=0.0 forces full Brandes whenever anything changed."""
-    base = _random_graph(seed, n, p)
-    new = _mutate(base, seed + 1, ops)
-    update = update_raw_betweenness(new, base, raw_betweenness(base), fallback_ratio=0.0)
-    assert update.raw == raw_betweenness(new)
-
-
-class TestIncrementalBetweennessUnit:
-    def test_unchanged_graph_carries_everything(self):
-        g = _random_graph(7, 12, 0.3)
-        raw = raw_betweenness(g)
-        update = update_raw_betweenness(_copy_graph(g), g, raw)
-        assert update.incremental
-        assert update.dirty_count == 0
-        assert update.raw == raw
-
-    def test_untouched_component_is_carried_not_recomputed(self):
-        # Two disjoint paths; a change in one leaves the other's scores
-        # carried over (same float objects, not merely equal values).
-        g = UndirectedGraph([(0, 1), (1, 2), (10, 11), (11, 12)])
-        raw = raw_betweenness(g)
-        new = _copy_graph(g)
-        new.add_edge(0, 2)
-        update = update_raw_betweenness(new, g, raw, fallback_ratio=1.0)
-        assert update.incremental
-        assert update.dirty_count == 3  # the {0,1,2} component
-        for node in (10, 11, 12):
-            assert update.raw[node] is raw[node]
-        assert update.raw == raw_betweenness(new)
-
-    def test_fallback_threshold_boundary(self):
-        # Components {0..3} and {10..13}: adding an edge inside the first
-        # dirties exactly 4 of 8 nodes.  At ratio 0.5 the dirty share is
-        # exactly at the threshold (4 > 0.5 * 8 is false) -> incremental;
-        # any ratio strictly below flips to the full fallback.
-        g = UndirectedGraph([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12), (12, 13)])
-        raw = raw_betweenness(g)
-        new = _copy_graph(g)
-        new.add_edge(0, 3)
-        at_threshold = update_raw_betweenness(new, g, raw, fallback_ratio=0.5)
-        assert at_threshold.incremental
-        assert at_threshold.dirty_count == 4
-        below = update_raw_betweenness(new, g, raw, fallback_ratio=0.49)
-        assert not below.incremental
-        assert at_threshold.raw == below.raw == raw_betweenness(new)
-
-    def test_added_isolated_node_dirties_only_itself(self):
-        g = UndirectedGraph([(0, 1), (1, 2)])
-        raw = raw_betweenness(g)
-        new = _copy_graph(g)
-        new.add_node("island")
-        update = update_raw_betweenness(new, g, raw)
-        assert update.incremental
-        assert update.dirty_count == 1
-        assert update.raw["island"] == 0.0
-        assert update.raw == raw_betweenness(new)
-
-    def test_removed_isolated_node_shrinks_cleanly(self):
-        g = UndirectedGraph([(0, 1), (1, 2)], nodes=["island"])
-        raw = raw_betweenness(g)
-        new = UndirectedGraph([(0, 1), (1, 2)])
-        update = update_raw_betweenness(new, g, raw)
-        assert update.incremental
-        assert update.dirty_count == 0
-        assert update.raw == raw_betweenness(new)
-
-    def test_missing_base_scores_fall_back_to_full(self):
-        g = UndirectedGraph([(0, 1), (1, 2), (10, 11)])
-        new = _copy_graph(g)
-        new.add_edge(0, 2)
-        # Base scores missing the untouched component's nodes: the update
-        # cannot carry them, so it must fall back -- and stay correct.
-        partial = {node: 0.0 for node in (0, 1, 2)}
-        update = update_raw_betweenness(new, g, partial, fallback_ratio=1.0)
-        assert not update.incremental
-        assert update.raw == raw_betweenness(new)
-
-    def test_empty_graph(self):
-        update = update_raw_betweenness(
-            UndirectedGraph(), UndirectedGraph([(0, 1)]), {0: 0.0, 1: 0.0}
-        )
-        assert update.raw == {}
-        assert update.incremental
-
-    def test_negative_fallback_ratio_rejected(self):
-        g = UndirectedGraph([(0, 1)])
-        with pytest.raises(ValueError):
-            update_raw_betweenness(g, g, raw_betweenness(g), fallback_ratio=-0.1)

@@ -273,21 +273,32 @@ class TestStalenessInvalidation:
         assert EX.D in view.classes()
         assert view.instance_count(EX.A) == 2
 
-    def test_parent_hint_is_dropped_on_mutation(self):
-        parent_graph = self._grown_graph()
-        parent = SchemaView(parent_graph)
-        child_graph = parent_graph.copy()
-        added = Triple(EX.z, RDF_TYPE, EX.A)
-        child_graph.add(added)
-        child = SchemaView(child_graph)
-        child.seed_from_parent(parent, [added], [])
-        assert child.parent_hint() is not None
-        assert child.delta_affected_classes() is not None
-        # After a mutation the recorded delta no longer describes the
-        # parent->child difference, so the hint must not survive.
-        child_graph.add(Triple(EX.w, RDF_TYPE, EX.C))
-        assert child.parent_hint() is None
-        assert child.delta_affected_classes() is None
+    def _linked_child(self):
+        """A parent view and an instance-only child view linked to it."""
+        parent = SchemaView(self._grown_graph())
+        child_graph = parent.graph.copy()
+        child_graph.add(Triple(EX.z, RDF_TYPE, EX.A))
+        return parent, SchemaView(child_graph, parent)
+
+    def test_child_reuses_betweenness_only_while_unchanged(self):
+        from repro.measures.structural import RAW_BETWEENNESS_KEY, betweenness_artefact
+
+        parent, child = self._linked_child()
+        assert child.parent is parent
+        artefact = betweenness_artefact(parent)
+        assert betweenness_artefact(child) is artefact
+        assert child.memo[RAW_BETWEENNESS_KEY] is parent.memo[RAW_BETWEENNESS_KEY]
+        # A new edge between existing classes: same nodes, another graph.
+        # The child's memo invalidates, and the parent's artefact no longer
+        # applies.
+        child.graph.add(Triple(EX.q, RDFS_DOMAIN, EX.B))
+        child.graph.add(Triple(EX.q, RDFS_RANGE, EX.C))
+        recomputed = betweenness_artefact(child)
+        assert recomputed is not artefact
+        cold = betweenness_artefact(SchemaView(child.graph))
+        assert list(recomputed[0].nodes()) == list(cold[0].nodes())
+        assert recomputed[1] == cold[1]
+        assert recomputed[1] != artefact[1]
 
     def test_neighborhood_cache_refreshes(self):
         view = SchemaView(self._grown_graph())
@@ -295,23 +306,25 @@ class TestStalenessInvalidation:
         view.graph.remove(Triple(EX.p, RDFS_RANGE, EX.C))
         assert EX.C not in view.neighborhood(EX.A)
 
-    def test_parent_hint_is_dropped_when_parent_graph_mutates(self):
-        # Regression: a re-warmed parent cache (refilled against a mutated
-        # parent graph) must not leak into the child through the frozen
-        # delta hint -- the hint is revision-pinned to *both* graphs.
+    def test_mutated_parent_never_leaks_into_child(self):
+        # The parent is mutated and re-warmed after the child view was
+        # made: its self-invalidated memo now holds artefacts of a class
+        # graph the child does not have, so the child must compute its own.
         from repro.measures.semantic import centrality
+        from repro.measures.structural import betweenness_artefact
 
-        parent_graph = self._grown_graph()
-        parent = SchemaView(parent_graph)
-        child_graph = parent_graph.copy()
-        added = Triple(EX.z, RDF_TYPE, EX.A)
-        child_graph.add(added)
-        child = SchemaView(child_graph)
-        child.seed_from_parent(parent, [added], [])
-        assert centrality(parent, EX.A) > 0.0  # warm the parent cache
-        # Mutate the parent graph and re-warm: its self-invalidated cache
-        # now holds values for a graph the recorded delta does not describe.
-        parent_graph.remove(Triple(EX.x, EX.p, EX.y))
+        parent, child = self._linked_child()
+        first = betweenness_artefact(parent)
+        assert centrality(parent, EX.A) > 0.0
+        parent.graph.remove(Triple(EX.x, EX.p, EX.y))
+        parent.graph.add(Triple(EX.q, RDFS_DOMAIN, EX.B))
+        parent.graph.add(Triple(EX.q, RDFS_RANGE, EX.C))
+        warmed = betweenness_artefact(parent)
+        assert warmed is not first
         assert centrality(parent, EX.A) == 0.0
-        assert child.parent_hint() is None
-        assert centrality(child, EX.A) > 0.0  # cold, correct -- not carried
+        assert child.parent is parent
+        artefact = betweenness_artefact(child)
+        assert artefact is not warmed
+        assert artefact[1] == betweenness_artefact(SchemaView(child.graph))[1]
+        assert artefact[1] != warmed[1]
+        assert centrality(child, EX.A) > 0.0

@@ -1,6 +1,7 @@
 """Unit tests for the versioned knowledge base."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -12,7 +13,7 @@ from repro.kb.triples import Triple
 from repro.kb.version import VersionedKnowledgeBase
 from repro.measures.semantic import centrality
 from repro.measures.structural import betweenness_artefact
-from repro.synthetic.config import EvolutionConfig, SchemaConfig, WorldConfig
+from repro.synthetic.config import EvolutionConfig, SchemaConfig, UserConfig, WorldConfig
 from repro.synthetic.world import generate_world
 
 
@@ -138,7 +139,7 @@ class TestCompactionReleasesMemory:
             ),
         )
         # A fresh chain over the same snapshots: no view built yet, so the
-        # walk below seeds every non-root view from its parent's.
+        # walk below links every non-root view to its parent's.
         kb = VersionedKnowledgeBase("six")
         for version in world.kb:
             kb.commit(version.graph, version_id=version.version_id)
@@ -163,13 +164,89 @@ class TestCompactionReleasesMemory:
         middle = versions[1:-1]
         views = [weakref.ref(version.schema) for version in middle]
         graphs = [weakref.ref(version.graph) for version in middle]
-        # Each child view was seeded from its parent's.
-        assert all(version.schema.parent_hint() is not None for version in versions[1:])
+        # Each child view is linked to its parent's.
+        assert all(
+            version.schema.parent is version.parent.schema for version in versions[1:]
+        )
         assert kb.compact() == len(middle)
         gc.collect()
         assert [ref() for ref in views] == [None] * len(middle)
         assert [ref() for ref in graphs] == [None] * len(middle)
-        # The head's parent view is gone, so its hint lapsed.
-        assert kb.latest().schema.parent_hint() is None
+        # The head's parent view is gone, so its link lapsed.
+        assert kb.latest().schema.parent is None
         after = [self._artefact_bits(version) for version in versions]
         assert after == before
+
+    def test_a_rebuilt_version_keeps_no_ownership_record(self):
+        # 41 deltas from a 518-triple root to a 4,591-triple version: the
+        # replay creates or copies most index containers, and a record of
+        # each would cost more than sharing the rest saves.
+        kb = generate_world(
+            seed=4242,
+            config=WorldConfig(
+                schema=SchemaConfig(n_classes=120, n_properties=80),
+                evolution=EvolutionConfig(n_versions=43, changes_per_version=150),
+                users=UserConfig(n_users=2),
+            ),
+        ).kb
+        assert kb.compact() == 41
+        root, target, head = kb.first(), kb.version(kb.version_ids()[-2]), kb.latest()
+        assert not target.is_materialized
+
+        def traced(build):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            graph = build()
+            gc.collect()
+            return graph, tracemalloc.get_traced_memory()[0] - before
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            rebuilt, rebuilt_bytes = traced(lambda: target.graph)
+            unshared, unshared_bytes = traced(
+                lambda: Graph.from_interned_keys(rebuilt.dictionary, rebuilt.triple_keys)
+            )
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert rebuilt == unshared
+        assert rebuilt_bytes <= 1.2 * unshared_bytes, (
+            f"rebuilt version traced {rebuilt_bytes} bytes; an unshared build "
+            f"of the same triples {unshared_bytes}"
+        )
+
+        # The rebuilt graph shares with the root and the head every index
+        # container no delta touched, so a write to it must copy them
+        # first.  A subject with several triples, neither it nor the
+        # object named by any delta, sits in shared containers only.
+        touched = set()
+        for version in list(kb)[1:]:
+            delta = version.delta_from_parent()
+            for triple in delta.added | delta.deleted:
+                touched.update((triple.subject, triple.object))
+        shared = next(
+            t
+            for t in root.graph.sorted_triples()
+            if t.subject not in touched
+            and t.object not in touched
+            and len(list(root.graph.match(t.subject))) > 1
+        )
+        fresh = Triple(shared.subject, shared.predicate, EX.rebuilt_only)
+        shapes = [
+            (s, p, o)
+            for s in (None, shared.subject)
+            for p in (None, shared.predicate)
+            for o in (None, shared.object, EX.rebuilt_only)
+        ]
+
+        def answers(graph):
+            return [set(graph.match(s, p, o)) for s, p, o in shapes]
+
+        residents = [root.graph, head.graph]
+        before = [(set(graph), answers(graph)) for graph in residents]
+        rebuilt.remove(shared)
+        rebuilt.add(fresh)
+        assert shared not in rebuilt and fresh in rebuilt
+        assert [(set(graph), answers(graph)) for graph in residents] == before

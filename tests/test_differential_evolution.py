@@ -1,24 +1,27 @@
 """Differential evolution-chain harness: incremental == cold, bit-for-bit.
 
-The incremental evaluation engine (schema views seeded from the parent view
-plus the commit delta; see ``SchemaView.seed_from_parent`` and the artefact
-layers in ``measures/structural.py`` / ``measures/semantic.py``) must never
-drift from a from-scratch recomputation.  These tests walk seeded randomized
-evolution chains and assert that every derived artefact and every catalogue
-measure value is *exactly* equal -- float equality, not approx -- between:
+A versioned KB links each version's schema view to its parent's, and a
+version whose class graph equals its parent's reuses the parent's
+betweenness instead of running Brandes (``betweenness_artefact`` in
+``measures/structural.py``); every other artefact computes from the
+version's own snapshot.  That reuse must never drift from a from-scratch
+recomputation.  These tests walk seeded randomized evolution chains and
+assert that every derived artefact and every catalogue measure value is
+*exactly* equal -- float equality, not approx -- between:
 
 * the incremental path: the versioned KB's own chain, evaluated pair by
-  pair in order so each version's view seeds from its warm parent, and
+  pair in order so each version's view is linked to its warm parent, and
 * the cold path: root-style ``Version`` objects over the same snapshot
-  graphs, whose views carry no parent hint and recompute everything.
+  graphs, whose views have no parent and recompute everything.
 
 The same invariant is re-checked after ``kb.compact()`` has dropped the
 middle snapshots and delta-replay rematerialisation has rebuilt them.
+Counting which pairs reuse keeps the rule honest both ways: instance-only
+chains reuse on every commit, and the default op mix recomputes on some.
 """
 
 import pytest
 
-from repro.graphtools import incremental as gt_incremental
 from repro.kb.version import Version
 from repro.measures import structural
 from repro.measures.base import EvolutionContext
@@ -30,9 +33,8 @@ from repro.synthetic.world import generate_world
 CHAIN_SEEDS = (11, 23, 37, 41, 53)
 N_VERSIONS = 8
 
-#: Instance-level op mix: the class graph stays put, so the incremental
-#: betweenness path must actually carry scores (no fallback) -- the
-#: "common small-delta evolution workload" of the ROADMAP.
+#: Instance-level op mix: the class graph stays put, so every child must
+#: reuse its parent's betweenness.
 INSTANCE_OPS = {
     "add_instance": 4.0,
     "remove_instance": 2.0,
@@ -77,13 +79,18 @@ def _assert_pair_identical(catalog, old, new):
         cold_raw = cold_version.schema.memo[structural.RAW_BETWEENNESS_KEY]
         assert raw == cold_raw, f"raw betweenness drifted at {version.version_id}"
     # ...and every memoised relative cardinality / semantic centrality the
-    # incremental side holds (seeded entries included) must agree with the
-    # cold side's value wherever the cold side computed one.
+    # incremental side holds must agree with the cold side's value
+    # wherever the cold side computed one.
     for key in ("semantic:rc", "semantic:centrality"):
         warm = new.schema.memo.get(key, {})
         cold_map = cold_new.schema.memo.get(key, {})
         for entry, value in cold_map.items():
             assert warm[entry] == value, f"{key} entry {entry} drifted"
+
+
+def _reuses_parent_betweenness(old, new) -> bool:
+    key = structural.BETWEENNESS_KEY
+    return new.schema.memo[key] is old.schema.memo[key]
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)
@@ -92,8 +99,13 @@ def test_incremental_chain_matches_cold(seed):
     versions = list(world.kb)
     assert len(versions) >= 8
     catalog = default_catalog()
+    reused = []
     for old, new in zip(versions, versions[1:]):
         _assert_pair_identical(catalog, old, new)
+        reused.append(_reuses_parent_betweenness(old, new))
+    # The default op mix changes the schema, so the reuse rule must not
+    # fire on every pair.
+    assert not all(reused), reused
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)
@@ -103,7 +115,7 @@ def test_incremental_chain_matches_cold_after_compact(seed):
     catalog = default_catalog()
     # Warm the whole chain incrementally, then drop the middle snapshots
     # (and their schema views) and re-walk: every middle version now
-    # rematerialises by delta replay and re-seeds from its parent.
+    # rematerialises by delta replay and is linked to its parent again.
     versions = list(kb)
     for old, new in zip(versions, versions[1:]):
         catalog.compute_all(EvolutionContext(old, new))
@@ -116,50 +128,28 @@ def test_incremental_chain_matches_cold_after_compact(seed):
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS[:2])
 def test_instance_level_chains_use_the_incremental_path(seed, monkeypatch):
-    """Small-delta chains must actually carry scores, not silently fall back."""
-    updates = []
-    original = gt_incremental.update_raw_betweenness
+    """Instance-only commits keep the class graph, so Brandes runs once per chain."""
+    calls = []
+    original = structural.raw_betweenness
 
-    def spy(*args, **kwargs):
-        update = original(*args, **kwargs)
-        updates.append(update)
-        return update
+    def spy(graph):
+        calls.append(len(graph))
+        return original(graph)
 
-    monkeypatch.setattr(structural, "update_raw_betweenness", spy)
     world = _world(seed, op_mix=INSTANCE_OPS)
     versions = list(world.kb)
     # World generation touches some views out of chain order (user profiles
-    # read the latest schema); drop them so the walk below seeds every
-    # non-root view from its freshly warmed parent.
+    # read the latest schema); drop them so the walk below links every
+    # non-root view to its freshly warmed parent.
     for version in versions:
         version._schema = None
     catalog = default_catalog()
+    monkeypatch.setattr(structural, "raw_betweenness", spy)
+    for old, new in zip(versions, versions[1:]):
+        catalog.compute_all(EvolutionContext(old, new))
+        assert _reuses_parent_betweenness(old, new), new.version_id
+    # Only the root ran Brandes; every child reused its parent's artefact.
+    assert len(calls) == 1
+    monkeypatch.undo()
     for old, new in zip(versions, versions[1:]):
         _assert_pair_identical(catalog, old, new)
-    # Every non-root version had a warm parent, so the update ran each time,
-    # and instance-level deltas leave the class graph alone: no fallback.
-    assert len(updates) == len(versions) - 1
-    assert all(update.incremental for update in updates)
-    assert all(update.dirty_count == 0 for update in updates)
-
-
-def test_seeded_semantic_caches_carry_parent_entries():
-    """On an instance-level chain the child RC cache starts pre-populated."""
-    world = _world(CHAIN_SEEDS[0], op_mix=INSTANCE_OPS)
-    versions = list(world.kb)
-    catalog = default_catalog()
-    catalog.compute_all(EvolutionContext(versions[0], versions[1]))
-    parent_rc = dict(versions[1].schema.memo["semantic:rc"])
-    assert parent_rc, "expected the parent evaluation to memoise RC values"
-    # Touch the next version's schema: seeding happens on first cache use.
-    catalog.compute_all(EvolutionContext(versions[1], versions[2]))
-    child_rc = versions[2].schema.memo["semantic:rc"]
-    affected = versions[2].schema.delta_affected_classes()
-    carried = [
-        key
-        for key in parent_rc
-        if key[1] not in affected and key[2] not in affected
-    ]
-    assert carried, "expected some RC entries to be carryable"
-    for key in carried:
-        assert child_rc[key] == parent_rc[key]
