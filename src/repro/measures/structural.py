@@ -79,10 +79,12 @@ def betweenness_artefact(schema: SchemaView) -> Tuple[UndirectedGraph, Mapping]:
 
     Memoised on the :class:`SchemaView` snapshot, so Brandes runs at most
     once per version.  When the version's class graph equals its parent's
-    (an instance-only commit), the parent's artefact is reused instead:
+    (an instance-only commit), the parent's scores are reused instead:
     equal graphs with equal node order give equal floats, so the check
     needs no delta.  It reads the parent's memo dict once, so the
-    artefact and raw map it reuses belong to the same parent graph.
+    artefact and raw map it reuses belong to the same parent graph.  The
+    artefact pairs the scores with the version's own graph, so a child
+    never keeps its parent's graph alive.
 
     First fill runs under the view's lock (:meth:`SchemaView.memoize`), so
     concurrent serving threads hitting a cold version share one Brandes
@@ -103,7 +105,7 @@ def betweenness_artefact(schema: SchemaView) -> Tuple[UndirectedGraph, Mapping]:
                 and _same_class_graph(artefact[0], graph)
             ):
                 schema.memo[RAW_BETWEENNESS_KEY] = raw
-                return artefact
+                return (graph, artefact[1])
         raw = raw_betweenness(graph)
         schema.memo[RAW_BETWEENNESS_KEY] = raw
         return (graph, normalize_betweenness(raw, len(graph)))

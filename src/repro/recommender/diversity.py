@@ -19,11 +19,16 @@ semantic-based; all three are implemented over one item-distance model:
   (measure families and target regions).
 * :func:`intra_list_distance` / :func:`family_coverage` -- the set-level
   metrics experiments E5/E6 report.
+
+Each selector ranks its :class:`ScoredItem` list and picks through one
+positional core (:func:`mmr_picks`, :func:`max_min_picks`,
+:func:`coverage_picks`) over the pool's table rows in rank order; the
+engine's reads call the same cores directly on a pair's arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from repro.graphtools.traversal import bfs_distances
 from repro.kb.terms import IRI
 from repro.measures.base import MeasureFamily
 from repro.recommender.items import RecommendationItem, ScoredItem
+from repro.recommender.ranking import rank_scored
 from repro.util.validation import require_probability
 
 
@@ -98,21 +104,23 @@ class ItemDistance:
 
     def table(self, items: Sequence[RecommendationItem]) -> "DistanceTable":
         """The :class:`DistanceTable` of ``items`` under this distance."""
-        measures: Dict[str, int] = {}
-        families: Dict[MeasureFamily, int] = {}
+        kinds: Dict[Tuple[str, MeasureFamily], int] = {}
         targets: Dict[IRI, int] = {}
-        ids = [
-            (
-                measures.setdefault(item.measure_name, len(measures)),
-                families.setdefault(item.family, len(families)),
-                targets.setdefault(item.target, len(targets)),
-            )
-            for item in items
-        ]
+        kind_ids = [kinds.setdefault((item.measure_name, item.family), len(kinds)) for item in items]
+        target_ids = [targets.setdefault(item.target, len(targets)) for item in items]
+        names = np.array([name for name, _ in kinds], dtype=object)
+        families = np.array([family for _, family in kinds], dtype=object)
+        # The scalar expression's own operations, per pair of kinds and per
+        # pair of targets, so a kind term plus a target term is d(a, b)
+        # bit for bit.
+        kind_terms = float(self._wm) * (names[:, None] != names) + float(self._wf) * (
+            families[:, None] != families
+        )
         return DistanceTable(
-            weights=(float(self._wm), float(self._wf), float(self._wt)),
-            ids=np.array(ids, dtype=np.intp).reshape(len(ids), 3),
-            target_terms=self._target_terms(list(targets)),
+            kind_ids=np.array(kind_ids, dtype=np.intp),
+            kind_terms=kind_terms,
+            target_ids=np.array(target_ids, dtype=np.intp),
+            target_terms=float(self._wt) * self._target_terms(list(targets)),
             rows={item.key: row for row, item in enumerate(items)},
         )
 
@@ -141,11 +149,13 @@ class ItemDistance:
 class DistanceTable:
     """The :class:`ItemDistance` distances among one item pool.
 
-    Each item is reduced to three integer ids (measure name, family,
-    target) and the pool's T distinct targets share one T×T table of
-    target terms, so the table costs O(n + T²) memory, never n×n.
-    :meth:`columns` evaluates ``d`` against one item for a whole pool in
-    O(n) numpy work, with the scalar ``w_m*m + w_f*f + w_t*t`` expression,
+    Each item is reduced to two integer ids: its kind (measure name and
+    family) and its target.  The pool's K distinct kinds share one K×K
+    table of ``w_m*m + w_f*f`` terms and its T distinct targets one T×T
+    table of ``w_t*t`` terms, so the table costs O(n + K² + T²) memory,
+    never n×n.  :meth:`columns` evaluates ``d`` against one item for a
+    whole pool as one gather from each table and one addition: the
+    scalar ``w_m*m + w_f*f + w_t*t`` expression, operation for operation,
     so every value is bit-identical to :meth:`ItemDistance.__call__`.
 
     Built by :meth:`ItemDistance.table`.  Read-only once built, so one
@@ -153,17 +163,19 @@ class DistanceTable:
     version pair.
     """
 
-    __slots__ = ("_weights", "_ids", "_target_terms", "_rows")
+    __slots__ = ("_kind_ids", "_kind_terms", "_target_ids", "_target_terms", "_rows")
 
     def __init__(
         self,
-        weights: Tuple[float, float, float],
-        ids: np.ndarray,
+        kind_ids: np.ndarray,
+        kind_terms: np.ndarray,
+        target_ids: np.ndarray,
         target_terms: np.ndarray,
         rows: Dict[str, int],
     ) -> None:
-        self._weights = weights
-        self._ids = ids  # (n, 3): measure, family, target id per row
+        self._kind_ids = kind_ids
+        self._kind_terms = kind_terms
+        self._target_ids = target_ids
         self._target_terms = target_terms
         self._rows = rows
 
@@ -178,16 +190,21 @@ class DistanceTable:
         except KeyError as exc:
             raise ValueError(f"item {exc.args[0]!r} is not in this distance table") from None
 
+    def held_rows(self, keys: Iterable[str]) -> np.ndarray:
+        """The rows of those ``keys`` the table holds, in the order given."""
+        rows = [self._rows.get(key) for key in keys]
+        return np.array([row for row in rows if row is not None], dtype=np.intp)
+
     def columns(self, rows: np.ndarray) -> Callable[[int], np.ndarray]:
         """``column(row)``: ``d(item at r, item at row)`` for every ``r`` in ``rows``."""
-        ids = self._ids
-        measure, family, target = ids[rows, 0], ids[rows, 1], ids[rows, 2]
-        terms = self._target_terms
-        wm, wf, wt = self._weights
+        kind_ids, kind_terms = self._kind_ids, self._kind_terms
+        target_ids, target_terms = self._target_ids, self._target_terms
+        kinds, targets = kind_ids[rows], target_ids[rows]
 
         def column(row: int) -> np.ndarray:
-            m, f, t = ids[row]
-            return wm * (measure != m) + wf * (family != f) + wt * terms[t, target]
+            return kind_terms[kind_ids[row]].take(kinds) + target_terms[target_ids[row]].take(
+                targets
+            )
 
         return column
 
@@ -232,40 +249,22 @@ def novelty_select(
 def _ranked_pool(candidates: Sequence[ScoredItem], k: int) -> List[ScoredItem]:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return sorted(candidates, key=lambda s: (-s.utility, s.item.key))
+    return rank_scored(candidates)
 
 
-def _pool_columns(
+def _pool_table(
     pool: Sequence[ScoredItem],
     seen: Sequence[RecommendationItem],
     distance: ItemDistance | DistanceTable,
-) -> Tuple[Callable[[int], np.ndarray], np.ndarray, np.ndarray]:
-    """``(column, pool rows, seen rows)`` over the pool, in pool order."""
+) -> Tuple[DistanceTable, np.ndarray, np.ndarray, np.ndarray]:
+    """``(table, pool rows, pool utilities, seen rows)``, in pool order."""
     items = [scored.item for scored in pool]
+    utility = np.array([scored.utility for scored in pool], dtype=float)
     if isinstance(distance, DistanceTable):
-        table, rows, seen_rows = distance, distance.rows(items), distance.rows(seen)
-    else:  # an ad-hoc pool, whose keys may repeat: rows are positions
-        table = distance.table(items + list(seen))
-        rows = np.arange(len(items))
-        seen_rows = np.arange(len(items), len(items) + len(seen))
-    return table.columns(rows), rows, seen_rows
-
-
-def _scan_pick(values: np.ndarray, remaining: List[int]) -> int:
-    """Index into ``remaining`` of the first value beating the best by 1e-12.
-
-    The greedy selectors' tie-break, scanned in pool order exactly as the
-    scalar loops always have.
-    """
-    values = values.tolist()
-    best_index = 0
-    best_value = float("-inf")
-    for index, position in enumerate(remaining):
-        value = values[position]
-        if value > best_value + 1e-12:
-            best_value = value
-            best_index = index
-    return best_index
+        return distance, distance.rows(items), utility, distance.rows(seen)
+    # An ad-hoc pool, whose keys may repeat: rows are positions.
+    table = distance.table(items + list(seen))
+    return table, np.arange(len(items)), utility, np.arange(len(items), len(items) + len(seen))
 
 
 def _greedy_mmr(
@@ -278,22 +277,65 @@ def _greedy_mmr(
     pool = _ranked_pool(candidates, k)
     if not pool or k == 0:
         return []
-    column, rows, seen_rows = _pool_columns(pool, seen, distance)
-    utility = np.array([scored.utility for scored in pool], dtype=float)
+    return [pool[i] for i in mmr_picks(*_pool_table(pool, seen, distance), k, lam)]
+
+
+def _scan_pick(values: np.ndarray, live: np.ndarray) -> int:
+    """Position of the first live value that beats the best so far by 1e-12.
+
+    The greedy selectors' tie rule, scanned in rank order.  The first
+    maximum is that pick unless an earlier live value lies within 1e-12
+    of it (the largest earlier value is the one to check); only then is
+    the scan replayed.
+    """
+    masked = np.where(live, values, -np.inf)
+    pick = int(masked.argmax())
+    if pick and not masked[:pick].max() + 1e-12 < masked[pick]:
+        values = values.tolist()
+        best_value = float("-inf")
+        for position in np.flatnonzero(live).tolist():
+            if values[position] > best_value + 1e-12:
+                best_value = values[position]
+                pick = position
+    return pick
+
+
+def mmr_picks(
+    table: DistanceTable,
+    rows: np.ndarray,
+    utility: np.ndarray,
+    seen_rows: Sequence[int],
+    k: int,
+    lam: float,
+) -> List[int]:
+    """Greedy MMR (or novelty) picks over a ranked pool, as indices into it.
+
+    ``rows`` are the pool's table rows in rank order and ``utility`` their
+    utilities; ``seen_rows`` are table rows whose similarity also counts
+    against an item.  :func:`mmr_select`, :func:`novelty_select` and the
+    engine's reads all pick through this one loop.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not len(rows) or k == 0:
+        return []
+    column = table.columns(rows)
     # Running max similarity to the seen history and the selected items;
     # the penalty is 0 while both are empty, as in the scalar definition.
-    max_similarity = np.full(len(pool), -np.inf)
+    max_similarity = np.full(len(rows), -np.inf)
     for row in seen_rows:
         max_similarity = np.maximum(max_similarity, 1.0 - column(row))
-    remaining = list(range(len(pool)))
-    selected: List[ScoredItem] = []
+    relevance = lam * utility
+    live = np.ones(len(rows), dtype=bool)
+    picks: List[int] = []
     while True:
-        penalty = max_similarity if selected or len(seen_rows) else 0.0
-        position = remaining.pop(_scan_pick(lam * utility - (1.0 - lam) * penalty, remaining))
-        selected.append(pool[position])
-        if not remaining or len(selected) >= k:
-            return selected
-        max_similarity = np.maximum(max_similarity, 1.0 - column(rows[position]))
+        penalty = max_similarity if picks or len(seen_rows) else 0.0
+        pick = _scan_pick(relevance - (1.0 - lam) * penalty, live)
+        picks.append(pick)
+        live[pick] = False
+        if len(picks) == min(k, len(rows)):
+            return picks
+        max_similarity = np.maximum(max_similarity, 1.0 - column(rows[pick]))
 
 
 def max_min_select(
@@ -311,20 +353,35 @@ def max_min_select(
     pool = _ranked_pool(candidates, k)
     if not pool or k == 0:
         return []
-    selected = [pool[0]]
     if len(pool) == 1 or k == 1:
-        return selected
-    column, rows, _ = _pool_columns(pool, (), distance)
-    utility = np.array([scored.utility for scored in pool], dtype=float)
+        return pool[:1]
+    table, rows, utility, _ = _pool_table(pool, (), distance)
+    return [pool[i] for i in max_min_picks(table, rows, utility, k, lam)]
+
+
+def max_min_picks(
+    table: DistanceTable, rows: np.ndarray, utility: np.ndarray, k: int, lam: float
+) -> List[int]:
+    """Greedy Max-Min picks over a ranked pool, as indices into it (see :func:`mmr_picks`)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not len(rows) or k == 0:
+        return []
+    picks = [0]
+    if len(rows) == 1 or k == 1:
+        return picks
+    column = table.columns(rows)
     min_distance = column(rows[0])
-    remaining = list(range(1, len(pool)))
+    relevance = lam * utility
+    live = np.ones(len(rows), dtype=bool)
+    live[0] = False
     while True:
-        values = lam * utility + (1.0 - lam) * min_distance
-        position = remaining.pop(_scan_pick(values, remaining))
-        selected.append(pool[position])
-        if not remaining or len(selected) >= k:
-            return selected
-        min_distance = np.minimum(min_distance, column(rows[position]))
+        pick = _scan_pick(relevance + (1.0 - lam) * min_distance, live)
+        picks.append(pick)
+        live[pick] = False
+        if len(picks) == min(k, len(rows)):
+            return picks
+        min_distance = np.minimum(min_distance, column(rows[pick]))
 
 
 def coverage_select(candidates: Sequence[ScoredItem], k: int) -> List[ScoredItem]:
@@ -335,25 +392,27 @@ def coverage_select(candidates: Sequence[ScoredItem], k: int) -> List[ScoredItem
     starts a new round.  This directly implements the paper's "semantic-
     based, selecting items that belong to different categories and topics".
     """
+    pool = _ranked_pool(candidates, k)
+    return [pool[i] for i in coverage_picks([s.item.family for s in pool], k)]
+
+
+def coverage_picks(families: Sequence[Hashable], k: int) -> List[int]:
+    """Coverage picks over a ranked pool's families, as indices into it."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    pool = sorted(candidates, key=lambda s: (-s.utility, s.item.key))
-    selected: List[ScoredItem] = []
-    while pool and len(selected) < k:
-        covered: Set[MeasureFamily] = set()
-        progressed = False
-        for scored in list(pool):
-            if len(selected) >= k:
-                break
-            if scored.item.family in covered:
-                continue
-            covered.add(scored.item.family)
-            selected.append(scored)
-            pool.remove(scored)
-            progressed = True
-        if not progressed:
-            break
-    return selected
+    remaining = list(range(len(families)))
+    picks: List[int] = []
+    while remaining and len(picks) < k:
+        covered: Set[Hashable] = set()
+        passed = []
+        for index in remaining:
+            if len(picks) < k and families[index] not in covered:
+                covered.add(families[index])
+                picks.append(index)
+            else:
+                passed.append(index)
+        remaining = passed
+    return picks
 
 
 # -- set-level metrics -----------------------------------------------------------

@@ -22,6 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.kb.version import VersionedKnowledgeBase
 from repro.measures.base import EvolutionContext, MeasureCatalog, MeasureResult
 from repro.measures.catalog import default_catalog
@@ -38,10 +40,9 @@ from repro.provenance.workflow import Workflow
 from repro.recommender.diversity import (
     DistanceTable,
     ItemDistance,
-    coverage_select,
-    max_min_select,
-    mmr_select,
-    novelty_select,
+    coverage_picks,
+    max_min_picks,
+    mmr_picks,
 )
 from repro.recommender.fairness import STRATEGIES, select_package
 from repro.recommender.items import (
@@ -50,8 +51,9 @@ from repro.recommender.items import (
     ScoredItem,
 )
 from repro.recommender.ranking import (
+    CandidatePool,
     generate_candidates,
-    rank_items,
+    rank_order,
     utility_scores_batch,
 )
 from repro.recommender.relatedness import RelatednessScorer
@@ -59,26 +61,6 @@ from repro.recommender.transparency import explain_item
 from repro.util.validation import require_probability
 
 DIVERSIFIERS = ("none", "mmr", "max_min", "coverage", "novelty")
-
-
-def _scores_from_row(
-    candidates: Sequence[RecommendationItem], row
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """``(utilities, relatedness)`` per item key from one user's score row.
-
-    The single definition both :meth:`RecommenderEngine.recommend` and
-    :meth:`RecommenderEngine.recommend_many` reduce through -- the batched
-    path's bit-identical guarantee is this shared arithmetic, not two
-    copies kept in sync by hand.
-    """
-    relatedness = {
-        item.key: float(related) for item, related in zip(candidates, row)
-    }
-    utilities = {
-        item.key: float(item.evolution_score * related)
-        for item, related in zip(candidates, row)
-    }
-    return utilities, relatedness
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,7 @@ class EngineConfig:
     spread_depth: int = 0  # interest spreading hops (0 = profile as-is)
     spread_decay: float = 0.5
     #: How many version pairs keep warm per-context artefacts (measure
-    #: results, candidate pools, scorers, distance tables).  A long-lived
+    #: results, candidate lists and pools, scorers, distance tables).  A long-lived
     #: serving engine sees an unbounded stream of pairs as writers commit;
     #: beyond this many the oldest pair's caches are evicted (recomputable,
     #: never wrong).  This bounds artefacts, not snapshots: the artefacts
@@ -136,13 +118,13 @@ class _ContextArtefacts:
     ``candidates`` fills ``results`` under the same entry lock.
     """
 
-    __slots__ = ("lock", "results", "candidates", "by_key", "scorer", "distances")
+    __slots__ = ("lock", "results", "candidates", "pool", "scorer", "distances")
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
         self.results: Mapping[str, MeasureResult] | None = None
         self.candidates: List[RecommendationItem] | None = None
-        self.by_key: Dict[str, RecommendationItem] | None = None
+        self.pool: CandidatePool | None = None
         self.scorer: RelatednessScorer | None = None
         self.distances: DistanceTable | None = None
 
@@ -168,8 +150,8 @@ class RecommenderEngine:
     """Facade over the full human-aware recommendation pipeline.
 
     Engine instances are shareable across threads: every per-context
-    artefact (measure results, candidate pool, scorer, distance table)
-    lives in one bundle that fills under a per-context lock -- the first
+    artefact (measure results, candidate list and pool, scorer, distance
+    table) lives in one bundle that fills under a per-context lock -- the first
     request for a cold pair computes, concurrent requests for the same
     pair wait and reuse, and unrelated pairs proceed in parallel.  The
     engine-wide lock only guards the (bounded) cache maps themselves; the
@@ -393,47 +375,16 @@ class RecommenderEngine:
             ),
         )
 
-    def _diversify(
-        self,
-        ranked: Sequence[ScoredItem],
-        k: int,
-        context: EvolutionContext,
-        seen: Sequence[RecommendationItem] = (),
-    ) -> List[ScoredItem]:
-        name = self._config.diversifier
-        if name == "none":
-            return list(ranked[:k])
-        if name == "coverage":
-            return coverage_select(ranked, k)
-        distances = self._distances(context)
-        if name == "mmr":
-            return mmr_select(ranked, k, distances, self._config.mmr_lambda)
-        if name == "max_min":
-            return max_min_select(ranked, k, distances, self._config.mmr_lambda)
-        return novelty_select(ranked, k, distances, seen, self._config.mmr_lambda)
+    def _pool(self, context: EvolutionContext | None = None) -> CandidatePool:
+        """The candidate list in array form (cached per context).
 
-    def _candidates_by_key(
-        self, context: EvolutionContext | None = None
-    ) -> Dict[str, RecommendationItem]:
-        """Candidate items keyed by item key (cached per context)."""
+        Read-only and shared by every read of the pair; its positions are
+        the rows of the pair's distance table.
+        """
         context = context or self.context()
         return self._artefacts_for(context).fill(
-            "by_key",
-            lambda: {item.key: item for item in self.candidates(context)},
+            "pool", lambda: CandidatePool(self.candidates(context))
         )
-
-    def _seen_items(
-        self, user: User, context: EvolutionContext | None = None
-    ) -> List[RecommendationItem]:
-        """Items the user has already interacted with (novelty history)."""
-        if self._feedback is None:
-            return []
-        seen: List[RecommendationItem] = []
-        by_key = self._candidates_by_key(context)
-        for key in self._feedback.ratings_by_user(user.user_id):
-            if key in by_key:
-                seen.append(by_key[key])
-        return seen
 
     # -- single-user recommendation -------------------------------------------------
 
@@ -446,58 +397,53 @@ class RecommenderEngine:
         """Recommend a diversified, explained package for one human."""
         context = context or self.context()
         k = self._config.k if k is None else k
-        candidates = self.candidates(context)
+        pool = self._pool(context)
         scorer = self.scorer(context)
-
-        relatedness_by_key: Dict[str, float] = {}
-
-        def _score_utilities() -> Dict[str, float]:
-            # One batch pass yields both the utilities and the relatedness
-            # values the explanations need.
-            scores = scorer.score_batch([user], candidates)[user.user_id]
-            utilities, relatedness = _scores_from_row(candidates, scores)
-            relatedness_by_key.update(relatedness)
-            return utilities
-
-        utilities_run = self._workflow.run_task(
+        # One batch pass yields the relatedness row both the utilities and
+        # the explanations read.
+        scores_run = self._workflow.run_task(
             "score_utilities",
-            _score_utilities,
+            lambda: scorer.score_rows([user], pool)[0],
             output_label=f"utilities for {user.user_id}",
         )
-        package = self._assemble_package(
-            user, k, context, candidates, utilities_run.value, relatedness_by_key
-        )
+        package = self._package(user, k, context, pool, scores_run.value)
         self._workflow.run_task(
             "assemble_package",
             lambda: package,
-            inputs=[utilities_run.output],
+            inputs=[scores_run.output],
             output_label=f"package for {user.user_id}",
         )
         return package
 
-    def _assemble_package(
+    def _package(
         self,
         user: User,
         k: int,
         context: EvolutionContext,
-        candidates: Sequence[RecommendationItem],
-        utilities: Mapping[str, float],
-        relatedness_by_key: Mapping[str, float],
+        pool: CandidatePool,
+        relatedness: np.ndarray,
     ) -> RecommendationPackage:
-        """Rank, diversify and explain one user's package from raw scores."""
-        ranked = rank_items(candidates, utilities)
-        selected = self._diversify(ranked, k, context, seen=self._seen_items(user, context))
-        relatedness = {
-            scored.item.key: relatedness_by_key[scored.item.key] for scored in selected
-        }
-        explanations = {
-            scored.item.key: explain_item(
-                scored, user, self._catalog, relatedness[scored.item.key]
+        """Rank, diversify and explain one user's package from their relatedness row.
+
+        The single per-user reduction :meth:`recommend` and
+        :meth:`recommend_many` share, so the batched path's bit-identity is
+        this one piece of arithmetic.  It works over pool positions: the
+        utilities are one vector product (the same IEEE product as
+        ``evolution_score * relatedness`` per item), the ranking one
+        ``lexsort``, and only the picked items become objects.
+        """
+        utility = pool.evolution * relatedness
+        order = rank_order(utility, pool.key_rank)
+        items = []
+        explanations = {}
+        for position in self._select(user, k, context, pool, utility, order):
+            scored = ScoredItem(item=pool.items[position], utility=float(utility[position]))
+            items.append(scored)
+            explanations[scored.item.key] = explain_item(
+                scored, user, self._catalog, float(relatedness[position])
             )
-            for scored in selected
-        }
         return RecommendationPackage(
-            items=tuple(selected),
+            items=tuple(items),
             audience=user.user_id,
             explanations=explanations,
             metadata={
@@ -505,6 +451,33 @@ class RecommenderEngine:
                 "diversifier": self._config.diversifier,
             },
         )
+
+    def _select(
+        self,
+        user: User,
+        k: int,
+        context: EvolutionContext,
+        pool: CandidatePool,
+        utility: np.ndarray,
+        order: np.ndarray,
+    ) -> List[int]:
+        """The pool positions of one user's package, in pick order."""
+        name = self._config.diversifier
+        if name == "none":
+            return order[:k].tolist()
+        if name == "coverage":
+            picks = coverage_picks(pool.family_ids[order].tolist(), k)
+        else:
+            table = self._distances(context)
+            lam = self._config.mmr_lambda
+            if name == "max_min":
+                picks = max_min_picks(table, order, utility[order], k, lam)
+            else:
+                seen = ()
+                if name == "novelty" and self._feedback is not None:
+                    seen = table.held_rows(self._feedback.ratings_by_user(user.user_id))
+                picks = mmr_picks(table, order, utility[order], seen, k, lam)
+        return order[picks].tolist()
 
     def recommend_many(
         self,
@@ -515,33 +488,29 @@ class RecommenderEngine:
         """Recommend to many humans with one batched relatedness sweep.
 
         The serving layer's admission queue coalesces concurrent requests
-        for the same (tenant, version pair) into one call here: the
-        candidate pool is interned and scored for all users in a single
-        :meth:`RelatednessScorer.score_batch` pass, then each user's
+        for the same (tenant, version pair) into one call here: every
+        user's relatedness row is scored over the pair's shared
+        :class:`CandidatePool` in a single
+        :meth:`RelatednessScorer.score_rows` pass, then each user's
         package is ranked, diversified and explained individually.
         Packages are bit-identical to calling :meth:`recommend` once per
-        user -- ``score_batch`` computes every user's row independently, so
-        batching changes cost, never values.
+        user -- each row is computed independently, so batching changes
+        cost, never values.
         """
         context = context or self.context()
         k = self._config.k if k is None else k
         users = list(users)
-        candidates = self.candidates(context)
+        pool = self._pool(context)
         scorer = self.scorer(context)
         scores_run = self._workflow.run_task(
             "score_utilities_batch",
-            scorer.score_batch,
-            args=(users, candidates),
+            scorer.score_rows,
+            args=(users, pool),
             output_label=f"batched utilities for {len(users)} users",
         )
         packages: Dict[str, RecommendationPackage] = {}
-        for user in users:
-            utilities, relatedness_by_key = _scores_from_row(
-                candidates, scores_run.value[user.user_id]
-            )
-            packages[user.user_id] = self._assemble_package(
-                user, k, context, candidates, utilities, relatedness_by_key
-            )
+        for user, relatedness in zip(users, scores_run.value):
+            packages[user.user_id] = self._package(user, k, context, pool, relatedness)
         return packages
 
     # -- group recommendation ----------------------------------------------------------

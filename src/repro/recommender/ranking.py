@@ -15,12 +15,17 @@ factors are in [0, 1], so utilities are too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
-from repro.measures.base import EvolutionContext, MeasureCatalog, MeasureResult
+import numpy as np
+
+from repro.kb.terms import IRI
+from repro.measures.base import EvolutionContext, MeasureCatalog, MeasureFamily, MeasureResult
 from repro.profiles.user import User
 from repro.recommender.items import RecommendationItem, ScoredItem
-from repro.recommender.relatedness import RelatednessScorer
+
+if TYPE_CHECKING:  # relatedness scores over CandidatePool, so it imports this module
+    from repro.recommender.relatedness import RelatednessScorer
 
 
 def generate_candidates(
@@ -58,6 +63,71 @@ def generate_candidates(
                 )
             )
     return candidates
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def key_ranks(keys: Sequence[str]) -> np.ndarray:
+    """Each key's rank in sorted key order (a repeated key ranks in input order)."""
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
+class CandidatePool:
+    """A candidate list in array form, for reads that work over positions.
+
+    Nothing here depends on the user, so the engine builds one pool per
+    version pair, next to the candidate list it comes from, and every read
+    shares it.  Position ``i`` is ``items[i]``, which is also row ``i`` of
+    the pair's :class:`~repro.recommender.diversity.DistanceTable` (built
+    from the same list).  The arrays are read-only, so concurrent readers
+    cannot disturb one another.
+    """
+
+    __slots__ = (
+        "items", "keys", "evolution", "targets", "families", "target_ids",
+        "family_ids", "key_rank",
+    )
+
+    def __init__(self, items: Sequence[RecommendationItem]) -> None:
+        self.items = tuple(items)
+        self.keys = tuple(item.key for item in self.items)
+        targets: Dict[IRI, int] = {}
+        families: Dict[MeasureFamily, int] = {}
+        target_ids = [targets.setdefault(item.target, len(targets)) for item in self.items]
+        family_ids = [families.setdefault(item.family, len(families)) for item in self.items]
+        #: The distinct targets and families, in order of first appearance;
+        #: ``target_ids``/``family_ids`` index them per position.
+        self.targets = tuple(targets)
+        self.families = tuple(families)
+        self.target_ids = _read_only(np.array(target_ids, dtype=np.intp))
+        self.family_ids = _read_only(np.array(family_ids, dtype=np.intp))
+        self.evolution = _read_only(
+            np.array([item.evolution_score for item in self.items], dtype=float)
+        )
+        self.key_rank = _read_only(key_ranks(self.keys))
+
+
+def rank_order(utility: np.ndarray, key_rank: np.ndarray) -> np.ndarray:
+    """Positions by decreasing utility, equal utilities in key order.
+
+    The order of sorting by ``(-utility, key)``: ``lexsort`` sorts by its
+    last key first and is stable.
+    """
+    return np.lexsort((key_rank, -utility))
+
+
+def rank_scored(scored: Sequence[ScoredItem]) -> List[ScoredItem]:
+    """``scored`` by decreasing utility, ties broken by item key."""
+    order = rank_order(
+        np.array([s.utility for s in scored], dtype=float),
+        key_ranks([s.item.key for s in scored]),
+    )
+    return [scored[i] for i in order.tolist()]
 
 
 def utility_scores(
@@ -101,9 +171,7 @@ def rank_items(
     k: int | None = None,
 ) -> List[ScoredItem]:
     """Candidates by decreasing utility (deterministic tie-break by key)."""
-    scored = [
-        ScoredItem(item=item, utility=utilities.get(item.key, 0.0))
-        for item in candidates
-    ]
-    scored.sort(key=lambda s: (-s.utility, s.item.key))
+    scored = rank_scored(
+        [ScoredItem(item=item, utility=utilities.get(item.key, 0.0)) for item in candidates]
+    )
     return scored if k is None else scored[:k]

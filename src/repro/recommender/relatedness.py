@@ -23,7 +23,7 @@ available the scorer degrades to the semantic part alone.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.measures.structural import class_graph
 from repro.profiles.feedback import FeedbackStore
 from repro.profiles.user import InterestProfile, User
 from repro.recommender.items import RecommendationItem
+from repro.recommender.ranking import CandidatePool
 from repro.graphtools.spread import spread_interest
 from repro.util.validation import require_probability
 
@@ -267,45 +268,41 @@ class RelatednessScorer:
 
         Returns ``{user_id: scores}`` with ``scores[i]`` the relatedness of
         ``items[i]`` (same value :meth:`score` would produce).  The item pool
-        is interned once -- targets and families map to dense indices, each
-        user's profile becomes two small weight vectors gathered through
-        those indices -- so group and multi-user workloads cost one profile
-        sweep per user instead of one Python call per (user, item) pair.
+        is interned once into a :class:`CandidatePool`, then scored by
+        :meth:`score_rows`.
         """
-        n_items = len(items)
-        if n_items == 0:
-            return {user.user_id: np.zeros(0) for user in users}
-        # Intern the item pool: dense indices over distinct targets/families.
-        targets = list(dict.fromkeys(item.target for item in items))
-        families = list(dict.fromkeys(item.family for item in items))
-        target_index = {t: i for i, t in enumerate(targets)}
-        family_index = {f: i for i, f in enumerate(families)}
-        target_of = np.fromiter(
-            (target_index[item.target] for item in items), dtype=np.intp, count=n_items
-        )
-        family_of = np.fromiter(
-            (family_index[item.family] for item in items), dtype=np.intp, count=n_items
-        )
-        keys = [item.key for item in items]
-        if self._model is not None:
-            predictions = self._model.predict_matrix([u.user_id for u in users], keys)
+        rows = self.score_rows(users, CandidatePool(items))
+        return {user.user_id: row for user, row in zip(users, rows)}
 
-        results: Dict[str, np.ndarray] = {}
+    def score_rows(
+        self, users: Sequence[User], pool: CandidatePool
+    ) -> List["np.ndarray"]:
+        """One relatedness row per user over the pool's positions.
+
+        ``rows[u][i]`` is :meth:`score` of ``users[u]`` and ``pool.items[i]``.
+        The pool's targets and families are already interned, so each
+        user's profile becomes two small weight vectors gathered through
+        the pool's ids: one profile sweep per user instead of one Python
+        call per (user, item) pair.
+        """
+        if self._model is not None:
+            predictions = self._model.predict_matrix([u.user_id for u in users], pool.keys)
+        rows: List[np.ndarray] = []
         for row, user in enumerate(users):
             profile = self._effective_user(user).profile
             interest = np.fromiter(
-                (min(1.0, profile.interest_in(t)) for t in targets),
+                (min(1.0, profile.interest_in(t)) for t in pool.targets),
                 dtype=float,
-                count=len(targets),
+                count=len(pool.targets),
             )
             preference = np.fromiter(
-                (min(1.0, profile.family_preference(f)) for f in families),
+                (min(1.0, profile.family_preference(f)) for f in pool.families),
                 dtype=float,
-                count=len(families),
+                count=len(pool.families),
             )
-            semantic = interest[target_of] * preference[family_of]
+            semantic = interest[pool.target_ids] * preference[pool.family_ids]
             if self._model is None:
-                results[user.user_id] = semantic
+                rows.append(semantic)
                 continue
             predicted = predictions[row]
             undecidable = np.isnan(predicted)
@@ -313,5 +310,5 @@ class RelatednessScorer:
                 undecidable, 0.0, predicted
             )
             fallback = semantic if self._cold_start_fallback else self._alpha * semantic
-            results[user.user_id] = np.where(undecidable, fallback, blended)
-        return results
+            rows.append(np.where(undecidable, fallback, blended))
+        return rows

@@ -99,6 +99,17 @@ class TestOneClassGraphPerVersion:
             assert class_graph(schema) is betweenness_artefact(schema)[0]
         assert len(builds) == 2
 
+    def test_a_version_reusing_its_parents_betweenness_keeps_its_own_graph(self):
+        parent = SchemaView(_chain_graph(6))
+        child_graph = parent.graph.copy()
+        child_graph.add(Triple(EX.x, RDF_TYPE, EX.C0))  # instance-only: same class graph
+        child = SchemaView(child_graph, parent)
+        parent_graph, parent_scores = betweenness_artefact(parent)
+        graph, scores = betweenness_artefact(child)
+        assert scores is parent_scores  # the parent's Brandes pass was reused...
+        assert graph is class_graph(child)  # ...but paired with the child's own graph
+        assert graph is not parent_graph
+
     def test_concurrent_first_reads_of_a_cold_view_build_once(self, monkeypatch):
         builds = _count_class_graph_builds(monkeypatch, pause=0.01)
         schema = SchemaView(_chain_graph(50))

@@ -183,9 +183,10 @@ class TestEngineBatchPaths:
         for key, value in got_utilities.items():
             assert value == pytest.approx(dict(expected_top)[key], abs=1e-15)
 
-    def test_candidates_by_key_cached_per_context(self, world):
+    def test_candidate_pool_cached_per_context(self, world):
         engine = RecommenderEngine(world.kb)
-        first = engine._candidates_by_key()
-        assert engine._candidates_by_key() is first
+        first = engine._pool()
+        assert engine._pool() is first
+        assert first.items == tuple(engine.candidates())
         other_context = world.full_context()
-        assert engine._candidates_by_key(other_context) is not first
+        assert engine._pool(other_context) is not first

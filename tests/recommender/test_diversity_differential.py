@@ -1,17 +1,23 @@
-"""Differential tests: the O(k·n) selectors pick exactly what the scalar loops pick.
+"""Differential tests: the array read path picks exactly what the scalar loops pick.
 
 The reference loops below are the selectors as they were written over
 :meth:`ItemDistance.__call__` -- O(k²·n) Python distance calls.  The
 production selectors read every distance from a :class:`DistanceTable`
 and keep the same scan, so the picks (and their order) must match item
 for item on any pool, whether the selector builds an ad-hoc table from
-an :class:`ItemDistance` or reads the engine's per-pair table.
+an :class:`ItemDistance` or reads the engine's per-pair table.  At the
+engine level, the reference is the whole object pipeline a read ran
+before candidate pools: score row, utility and relatedness dicts, one
+sorted :class:`ScoredItem` per candidate, the scalar loops, and
+:func:`explain_item`.
 """
 
 import json
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +36,11 @@ from repro.recommender.diversity import (
     mmr_select,
     novelty_select,
 )
+from repro.recommender import engine as engine_module
 from repro.recommender.engine import DIVERSIFIERS, EngineConfig, RecommenderEngine
-from repro.recommender.items import RecommendationItem, ScoredItem
+from repro.recommender.items import RecommendationItem, RecommendationPackage, ScoredItem
+from repro.recommender.ranking import CandidatePool, rank_items
+from repro.recommender.transparency import explain_item
 from repro.synthetic.config import EvolutionConfig, SchemaConfig, UserConfig, WorldConfig
 from repro.synthetic.users import simulate_feedback
 from repro.synthetic.world import generate_world
@@ -81,6 +90,34 @@ def reference_max_min(candidates, k, distance, lam):
     return selected
 
 
+def reference_rank(candidates, utilities):
+    scored = [ScoredItem(item=item, utility=utilities.get(item.key, 0.0)) for item in candidates]
+    scored.sort(key=lambda s: (-s.utility, s.item.key))
+    return scored
+
+
+def reference_coverage(candidates, k):
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    pool = sorted(candidates, key=lambda s: (-s.utility, s.item.key))
+    selected = []
+    while pool and len(selected) < k:
+        covered = set()
+        progressed = False
+        for scored in list(pool):
+            if len(selected) >= k:
+                break
+            if scored.item.family in covered:
+                continue
+            covered.add(scored.item.family)
+            selected.append(scored)
+            pool.remove(scored)
+            progressed = True
+        if not progressed:
+            break
+    return selected
+
+
 # -- random pools ----------------------------------------------------------------
 
 CLASSES = [EX[f"C{i}"] for i in range(8)]
@@ -126,8 +163,11 @@ items = st.builds(
     target=st.sampled_from(CLASSES + PROPERTIES),
     evolution_score=st.just(1.0),
 )
-# Few distinct values, so ties (and zero utilities) are common.
-utilities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+# Few distinct values, so ties (and zero utilities) are common; the
+# ±4e-13 pair ties 0.5 within the scan's 1e-12 tolerance.
+utilities = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.5 - 4e-13, 0.5 + 4e-13]), st.floats(0.0, 1.0)
+)
 lambdas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -166,6 +206,17 @@ def test_adhoc_selectors_match_scalar_reference(pool, distance, lam):
     assert_same_picks(
         max_min_select(scored, k, distance, lam), reference_max_min(scored, k, distance, lam)
     )
+    assert_same_picks(coverage_select(scored, k), reference_coverage(scored, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=pools())
+def test_rank_items_matches_sorted_order(pool):
+    scored, _, _ = pool
+    candidates = [s.item for s in scored]
+    # A repeated key keeps its last utility, as a dict of them does.
+    utilities = {s.item.key: s.utility for s in scored}
+    assert rank_items(candidates, utilities) == reference_rank(candidates, utilities)
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,22 +308,63 @@ def test_table_rejects_items_it_does_not_hold():
 
 
 class ReferenceEngine(RecommenderEngine):
-    """The engine as it diversified before per-pair tables: a fresh
-    :class:`ItemDistance` per read and the scalar reference loops."""
+    """A read as the engine ran it before candidate pools, object by object.
 
-    def _diversify(self, ranked, k, context, seen=()):
-        name = self._config.diversifier
-        lam = self._config.mmr_lambda
+    Each user's score row becomes utility and relatedness dicts, every
+    candidate a :class:`ScoredItem`, the sorted list goes through the
+    scalar reference loops over a fresh :class:`ItemDistance`, and each
+    pick is explained.
+    """
+
+    def recommend(self, user, k=None, context=None):
+        return self.recommend_many([user], k, context)[user.user_id]
+
+    def recommend_many(self, users, k=None, context=None):
+        context = context or self.context()
+        k = self.config.k if k is None else k
+        candidates = self.candidates(context)
+        rows = self.scorer(context).score_batch(users, candidates)
+        packages = {}
+        for user in users:
+            row = rows[user.user_id]
+            relatedness = {item.key: float(r) for item, r in zip(candidates, row)}
+            utilities = {
+                item.key: float(item.evolution_score * r) for item, r in zip(candidates, row)
+            }
+            ranked = reference_rank(candidates, utilities)
+            selected = self._reference_select(user, ranked, k, context)
+            packages[user.user_id] = RecommendationPackage(
+                items=tuple(selected),
+                audience=user.user_id,
+                explanations={
+                    s.item.key: explain_item(s, user, self.catalog, relatedness[s.item.key])
+                    for s in selected
+                },
+                metadata={
+                    "context": f"{context.old.version_id}->{context.new.version_id}",
+                    "diversifier": self.config.diversifier,
+                },
+            )
+        return packages
+
+    def _reference_select(self, user, ranked, k, context):
+        name, lam = self.config.diversifier, self.config.mmr_lambda
         if name == "none":
-            return list(ranked[:k])
+            return ranked[:k]
         if name == "coverage":
-            return coverage_select(ranked, k)
+            return reference_coverage(ranked, k)
         distance = ItemDistance(class_graph=class_graph(context.new_schema))
         if name == "max_min":
             return reference_max_min(ranked, k, distance, lam)
-        return reference_greedy_mmr(
-            ranked, k, distance, lam, seen if name == "novelty" else ()
-        )
+        seen = []
+        if name == "novelty" and self._feedback is not None:
+            by_key = {item.key: item for item in self.candidates(context)}
+            seen = [
+                by_key[key]
+                for key in self._feedback.ratings_by_user(user.user_id)
+                if key in by_key
+            ]
+        return reference_greedy_mmr(ranked, k, distance, lam, seen)
 
 
 @pytest.fixture(scope="module")
@@ -295,48 +387,143 @@ def bench_world():
     return world, feedback
 
 
+def bodies(packages):
+    return {user_id: json.dumps(package_to_dict(p)) for user_id, p in packages.items()}
+
+
+def assert_same_bodies(ours, reference, users, k):
+    expected = bodies(reference.recommend_many(users, k))
+    got = bodies(ours.recommend_many(users, k))
+    assert list(got) == list(expected)
+    for user_id, body in expected.items():
+        assert got[user_id] == body, f"package diverged for {user_id} at k={k}"
+    for user in users[:3]:
+        assert json.dumps(package_to_dict(ours.recommend(user, k))) == expected[user.user_id]
+
+
+#: A small pool (4 targets per measure), so a whole-pool package stays
+#: cheap for the O(k²·n) reference loops.
+SMALL_POOL = 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, "pool+3"])
+@pytest.mark.parametrize("with_feedback", [False, True], ids=["plain", "feedback"])
 @pytest.mark.parametrize("diversifier", DIVERSIFIERS)
-def test_engine_packages_are_byte_identical_to_reference(bench_world, diversifier):
+def test_engine_packages_are_byte_identical_to_reference(
+    bench_world, diversifier, with_feedback, k
+):
     world, feedback = bench_world
+    users = world.users
+    per_measure = 25  # repro serve's pool
+    if k == "pool+3":
+        per_measure, users = SMALL_POOL, users[:12]
     # repro serve's engine configuration, per diversifier.
-    config = EngineConfig(k=5, spread_depth=1, diversifier=diversifier)
+    config = EngineConfig(
+        k=5, spread_depth=1, diversifier=diversifier, per_measure_candidates=per_measure
+    )
+    feedback = feedback if with_feedback else None
     ours = RecommenderEngine(world.kb, config=config, feedback=feedback)
     reference = ReferenceEngine(world.kb, config=config, feedback=feedback)
-    got = ours.recommend_many(world.users)
-    expected = reference.recommend_many(world.users)
-    assert list(got) == list(expected)
-    for user_id, package in expected.items():
-        assert json.dumps(package_to_dict(got[user_id])) == json.dumps(
-            package_to_dict(package)
-        ), f"{diversifier} package diverged for {user_id}"
+    if k == "pool+3":
+        k = len(ours.candidates()) + 3
+    assert_same_bodies(ours, reference, users, k)
+    table = ours._artefacts_for(ours.context()).distances
     if diversifier in ("none", "coverage"):
         # Neither selector reads distances, so neither builds a table.
-        assert ours._artefacts_for(ours.context()).distances is None
+        assert table is None
     else:
-        assert isinstance(ours._artefacts_for(ours.context()).distances, DistanceTable)
+        assert isinstance(table, DistanceTable)
 
 
-def test_concurrent_reads_on_a_cold_pair_build_one_table(world, monkeypatch):
-    """Many threads racing on one cold pair share a single table fill, and
-    every thread's packages equal a serial engine's, byte for byte."""
-    n_threads = 8
-    builds = []
-    build_table = ItemDistance.table
+class FixedRows:
+    """Stands in for a scorer: every user's relatedness row is given."""
 
-    def counting_table(self, items):
-        builds.append(threading.get_ident())
-        return build_table(self, items)
+    def __init__(self, rows):
+        self.rows = rows
 
-    monkeypatch.setattr(ItemDistance, "table", counting_table)
-    engine = RecommenderEngine(world.kb)
-    context = engine.context()
+    def score_rows(self, users, pool):
+        return [self.rows[user.user_id] for user in users]
+
+    def score_batch(self, users, items):
+        return {user.user_id: self.rows[user.user_id] for user in users}
+
+
+#: Gaps between two items' similarity (or distance) to a picked item under
+#: the engine's default distance weights (0.3, 0.3, 0.4; horizon 3).
+SIMILARITY_GAPS = [0.0, 0.4 / 3, 0.3, 0.6]
+
+
+@st.composite
+def tied_rows(draw, evolution, lam=EngineConfig().mmr_lambda):
+    """A relatedness row whose utilities tie exactly, vanish, or nearly tie.
+
+    An item's utility lands within an ulp of ``target - (1 - lam) / lam *
+    gap``, give or take 4e-13.  A later-ranked item whose similarity penalty
+    is ``gap`` lower than an earlier item's then scores within 1e-12 of it
+    in MMR (and likewise for Max-Min distances), so the scan's tie rule
+    decides; 0.5 and 1.0 tie every item of equal evolution score.
+    """
+    if draw(st.integers(0, 4)) == 0:
+        return np.zeros(len(evolution))
+    target = draw(st.sampled_from([0.3, 0.5]))
+    kinds = st.sampled_from(["zero", "half", "one", "stepped", "free"])
+    row = []
+    for score in evolution:
+        kind = draw(kinds)
+        if kind == "free":
+            row.append(draw(st.floats(0.0, 1.0)))
+        elif kind == "stepped":
+            utility = target - (1.0 - lam) / lam * draw(st.sampled_from(SIMILARITY_GAPS))
+            scale = draw(st.sampled_from([1.0, 1.0 + 4e-13, 1.0 - 4e-13]))
+            row.append(min(1.0, utility / score * scale))
+        else:
+            row.append({"zero": 0.0, "half": 0.5, "one": 1.0}[kind])
+    return np.array(row)
+
+
+@pytest.fixture(scope="module")
+def small_pool_engines(bench_world):
+    """``diversifier -> (ours, reference)`` on a small pool, with feedback."""
+    world, feedback = bench_world
+    engines = {}
+    for diversifier in DIVERSIFIERS:
+        config = EngineConfig(
+            k=5, spread_depth=1, diversifier=diversifier, per_measure_candidates=SMALL_POOL
+        )
+        engines[diversifier] = (
+            RecommenderEngine(world.kb, config=config, feedback=feedback),
+            ReferenceEngine(world.kb, config=config, feedback=feedback),
+        )
+    return engines
+
+
+@pytest.mark.parametrize("diversifier", DIVERSIFIERS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_matches_reference_on_tied_rows(
+    bench_world, small_pool_engines, diversifier, data
+):
+    """Exact ties, all-zero rows and near-ties: the ranking falls back to key
+    order, and the selectors keep the first of values within 1e-12."""
+    world, _ = bench_world
+    ours, reference = small_pool_engines[diversifier]
+    users = world.users[:3]
+    evolution = [item.evolution_score for item in ours.candidates()]
+    scorer = FixedRows({user.user_id: data.draw(tied_rows(evolution)) for user in users})
+    ours.scorer = reference.scorer = lambda context=None: scorer
+    k = data.draw(st.sampled_from([0, 1, 5, len(evolution) + 3]))
+    assert_same_bodies(ours, reference, users, k)
+
+
+def race(engine, users, context, n_threads=8):
+    """``n_threads`` threads read one pair at once; returns each one's packages."""
     barrier = threading.Barrier(n_threads)
     results, errors = [None] * n_threads, []
 
     def read(index):
         try:
             barrier.wait(timeout=30)
-            results[index] = engine.recommend_many(world.users, context=context)
+            results[index] = engine.recommend_many(users, context=context)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -354,11 +541,59 @@ def test_concurrent_reads_on_a_cold_pair_build_one_table(world, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
-    assert len(builds) == 1
+    return results
 
-    serial = RecommenderEngine(world.kb).recommend_many(world.users)
-    expected = {user_id: json.dumps(package_to_dict(p)) for user_id, p in serial.items()}
+
+def assert_equal_to_serial(world, results):
+    expected = bodies(RecommenderEngine(world.kb).recommend_many(world.users))
     for packages in results:
-        assert {
-            user_id: json.dumps(package_to_dict(p)) for user_id, p in packages.items()
-        } == expected
+        assert bodies(packages) == expected
+
+
+def test_concurrent_reads_on_a_cold_pair_build_one_table(world, monkeypatch):
+    """Many threads racing on one cold pair share a single table fill, and
+    every thread's packages equal a serial engine's, byte for byte."""
+    builds = []
+    build_table = ItemDistance.table
+
+    def counting_table(self, items):
+        builds.append(threading.get_ident())
+        return build_table(self, items)
+
+    monkeypatch.setattr(ItemDistance, "table", counting_table)
+    engine = RecommenderEngine(world.kb)
+    results = race(engine, world.users, engine.context())
+    assert len(builds) == 1
+    assert_equal_to_serial(world, results)
+
+
+def test_concurrent_reads_on_a_cold_pair_build_one_pool(world, monkeypatch):
+    """The same race over the candidate pool: one build, shared by every
+    thread, and packages equal to a serial engine's."""
+    builds = []
+
+    class CountingPool(CandidatePool):
+        __slots__ = ()
+
+        def __init__(self, items):
+            builds.append(threading.get_ident())
+            time.sleep(0.01)  # hold the fill open while the others arrive
+            super().__init__(items)
+
+    monkeypatch.setattr(engine_module, "CandidatePool", CountingPool)
+    engine = RecommenderEngine(world.kb)
+    context = engine.context()
+    results = race(engine, world.users, context)
+    assert len(builds) == 1
+    assert engine._pool(context) is engine._artefacts_for(context).pool
+    assert_equal_to_serial(world, results)
+
+
+def test_pool_arrays_are_read_only(world):
+    pool = RecommenderEngine(world.kb)._pool()
+    for array in (pool.evolution, pool.target_ids, pool.family_ids, pool.key_rank):
+        assert len(array) == len(pool.items)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+        with pytest.raises(ValueError, match="read-only"):
+            array += array

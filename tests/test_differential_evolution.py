@@ -90,7 +90,7 @@ def _assert_pair_identical(catalog, old, new):
 
 def _reuses_parent_betweenness(old, new) -> bool:
     key = structural.BETWEENNESS_KEY
-    return new.schema.memo[key] is old.schema.memo[key]
+    return new.schema.memo[key][1] is old.schema.memo[key][1]
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)
