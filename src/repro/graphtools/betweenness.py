@@ -32,7 +32,7 @@ Implementation notes:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -146,6 +146,58 @@ def _block_dependencies(
     return delta.reshape(len(block), n)
 
 
+def _rows(
+    degree: np.ndarray, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, n: int
+) -> Iterator[np.ndarray]:
+    """The dependency row of each of ``sources``, in order, one block at a time."""
+    for start in range(0, len(sources), BLOCK_SOURCES):
+        block = sources[start : start + BLOCK_SOURCES]
+        yield from _block_dependencies(degree, indptr, indices, block, n)
+
+
+def _leaf_dependencies(
+    degree: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    leaves: np.ndarray,
+    parents: np.ndarray,
+    parent_rows: np.ndarray,
+    slot: np.ndarray,
+) -> np.ndarray:
+    """``delta_s[p]`` for each leaf ``s`` hanging off ``p``, from ``p``'s row
+    ``parent_rows[slot[p]]``.
+
+    The scalar loop pops ``p``'s other neighbours ``w`` in descending index
+    order (their BFS order at depth 2 from ``s``, reversed) and adds
+    ``1.0 * ((1.0 + delta_p[w]) / 1.0)`` for each, starting from 0.0; both
+    path counts are 1.0, so each term is exactly ``1.0 + delta_p[w]``.
+    bincount sums each leaf's terms in that input order.  Leaves run in
+    chunks of at most ``BLOCK_SOURCES * n`` terms, the memory of one BFS
+    block.
+    """
+    out = np.empty(len(leaves))
+    if not len(leaves):
+        return out
+    budget = BLOCK_SOURCES * len(degree)
+    per_chunk = max(1, budget // int(degree[parents].max()))
+    for start in range(0, len(leaves), per_chunk):
+        leaf = leaves[start : start + per_chunk]
+        parent = parents[start : start + per_chunk]
+        counts = degree[parent]
+        owner = np.repeat(np.arange(len(leaf)), counts)
+        ends = np.cumsum(counts)
+        # Each parent's adjacency run, read from its end backwards.
+        position = (indptr[parent] + ends - 1)[owner] - np.arange(int(ends[-1]))
+        w = indices[position]
+        keep = w != leaf[owner]
+        owner = owner[keep]
+        terms = 1.0 + parent_rows[slot[parent][owner], w[keep]]
+        out[start : start + len(leaf)] = np.bincount(
+            owner, weights=terms, minlength=len(leaf)
+        )
+    return out
+
+
 def accumulate_dependencies(
     adjacency: List[List[int]],
     sources: Iterable[int],
@@ -153,25 +205,65 @@ def accumulate_dependencies(
 ) -> None:
     """Accumulate Brandes pair dependencies from ``sources`` into ``centrality``.
 
-    Runs one BFS + dependency backpropagation per source, adding each
-    source's contribution to ``centrality`` in place.
+    Adds each source's dependency row to ``centrality`` in place, in
+    source order, with the floats of the one-source-at-a-time loop.
 
-    Sources run :data:`BLOCK_SOURCES` at a time, one BFS level of the whole
-    block per numpy pass.  Every float equals the one-source-at-a-time
-    loop's: path counts and dependencies are summed in that loop's order
-    (see :func:`_block_dependencies`), and the per-source rows are added
-    into ``centrality`` one at a time, in source order.
+    Most sources run a BFS, :data:`BLOCK_SOURCES` at a time, one BFS level
+    of the whole block per numpy pass (see :func:`_block_dependencies`).
+    A *leaf* source -- degree 1, whose neighbour ``p`` has degree >= 2 and
+    is a source of this same call -- runs none: BFS from the leaf ``s``
+    visits ``s``, then ``p``, then ``p``'s own BFS levels without ``s``, in
+    the same order, so every path count and every dependency other than
+    ``delta_s[p]`` equals ``p``'s (and ``delta_p[s]`` is 0.0).  Its row is
+    therefore ``p``'s row with ``delta_s[p]`` at ``p``, where ``p``'s row
+    holds 0.0; ``delta_s[p]`` is summed from ``p``'s row in the loop's
+    order (:func:`_leaf_dependencies`).  Only the rows of such parents
+    are kept.  Isolated nodes and both ends of a lone edge run a BFS.
     """
     n = len(adjacency)
     sources = np.fromiter(sources, dtype=np.intp)
     if not len(sources):
         return
     degree, indptr, indices = _csr(adjacency)
+    is_source = np.zeros(n, dtype=bool)
+    is_source[sources] = True
+    folded = degree[sources] == 1
+    # A degree-1 node's only neighbour sits at indices[indptr[node]].
+    neighbour = indices[indptr[sources[folded]]]
+    hangs = (degree[neighbour] >= 2) & is_source[neighbour]
+    folded[folded] = hangs
+    leaves = sources[folded]
+    leaf_parents = neighbour[hangs]
+    # Marked, not np.unique: that would import numpy.ma (0.5 MB) on first use.
+    is_parent = np.zeros(n, dtype=bool)
+    is_parent[leaf_parents] = True
+    parents = np.flatnonzero(is_parent)
+    slot = np.full(n, -1, dtype=np.intp)
+    slot[parents] = np.arange(len(parents))
+    parent_rows = np.empty((len(parents), n))
+    for index, row in enumerate(_rows(degree, indptr, indices, parents, n)):
+        parent_rows[index] = row
+    leaf_delta = _leaf_dependencies(
+        degree, indptr, indices, leaves, leaf_parents, parent_rows, slot
+    ).tolist()
+    plain = sources[~folded & (slot[sources] < 0)]
+    plain_rows = _rows(degree, indptr, indices, plain, n)
+
     sums = np.array(centrality, dtype=float)
-    for start in range(0, len(sources), BLOCK_SOURCES):
-        block = sources[start : start + BLOCK_SOURCES]
-        for row in _block_dependencies(degree, indptr, indices, block, n):
-            sums += row
+    leaf_parent_list = leaf_parents.tolist()
+    leaf_index = iter(range(len(leaves)))
+    slot_list = slot.tolist()
+    for source, is_leaf in zip(sources.tolist(), folded.tolist()):
+        if is_leaf:
+            leaf = next(leaf_index)
+            parent = leaf_parent_list[leaf]
+            kept = sums[parent]
+            sums += parent_rows[slot_list[parent]]
+            sums[parent] = kept + leaf_delta[leaf]
+        elif slot_list[source] >= 0:
+            sums += parent_rows[slot_list[source]]
+        else:
+            sums += next(plain_rows)
     centrality[:] = sums.tolist()
 
 

@@ -117,6 +117,17 @@ class Graph:
         """
         return self._triples
 
+    @property
+    def predicate_index(self) -> _IntIndex:
+        """The live POS index: ``predicate id -> object id -> subject ids``.
+
+        Read-only by convention: the schema view derives its class,
+        property, instance and link maps from it in id space.  Its keys
+        are exactly the predicates with at least one triple, and each
+        predicate's keys the objects it has.
+        """
+        return self._pos
+
     # -- mutation ---------------------------------------------------------
 
     def add(self, triple: Triple) -> bool:

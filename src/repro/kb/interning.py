@@ -113,20 +113,41 @@ class TermDictionary:
         """The term with id ``tid`` (raises ``IndexError`` for unknown ids)."""
         return self._terms[tid]
 
+    @property
+    def terms(self) -> List[Term]:
+        """The live id -> term list (read-only by convention).
+
+        Exposed so id-level derivations (:class:`~repro.kb.schema.SchemaView`)
+        can turn ids back into terms with a plain list index.
+        """
+        return self._terms
+
     # -- triple interning ----------------------------------------------------
 
     def intern_triple(self, triple: Triple) -> TripleKey:
         """Intern all three terms of ``triple``; returns its id-triple.
 
-        The triple object itself is pooled so later materialisations of the
-        same key return it without constructing a new :class:`Triple`.
+        The first triple seen for a key is pooled, so later materialisations
+        of the key return it without constructing a new :class:`Triple`.
+        The pool holds only canonical terms (the dictionary's own objects):
+        a triple whose terms are equal to interned ones but are other
+        objects, such as a parser's, is pooled as a copy built from the
+        canonical terms, so dict and set hits on pooled triples' terms
+        compare by identity.
         """
-        key = (
-            self.intern(triple.subject),
-            self.intern(triple.predicate),
-            self.intern(triple.object),
-        )
+        s = self.intern(triple.subject)
+        p = self.intern(triple.predicate)
+        o = self.intern(triple.object)
+        key = (s, p, o)
         if key not in self._triples:
+            terms = self._terms
+            subject, predicate, obj = terms[s], terms[p], terms[o]
+            if (
+                subject is not triple.subject
+                or predicate is not triple.predicate
+                or obj is not triple.object
+            ):
+                triple = Triple._interned(subject, predicate, obj, hash(triple))
             self._triples[key] = triple
         return key
 

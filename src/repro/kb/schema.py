@@ -29,6 +29,13 @@ The parent is held weakly, so no view keeps its ancestors (and their
 graphs) alive: once a parent view is released, :attr:`SchemaView.parent`
 is None and the betweenness computes cold, with the same bits.
 
+Internally every map is derived from the graph's interned indexes
+(:attr:`Graph.predicate_index <repro.kb.graph.Graph.predicate_index>`,
+keyed by term id) and is itself keyed by term id, so building a view
+hashes integers in C rather than terms in Python.  Terms appear only at
+the public methods, which turn ids back into terms through the graph's
+:class:`~repro.kb.interning.TermDictionary`.
+
 Views are safe to share across threads (the serving layer scores many
 concurrent requests against the same immutable version snapshots): every
 lazy fill that publishes more than one attribute runs under a per-view
@@ -45,7 +52,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.kb.errors import SchemaError
 from repro.kb.graph import Graph
@@ -78,28 +85,23 @@ def _is_builtin_value(value: str) -> bool:
     return any(value.startswith(ns.base) for ns in _BUILTIN_NAMESPACES)
 
 
-def _is_builtin(iri: IRI) -> bool:
-    return _is_builtin_value(iri.value)
+_IdMap = Dict[int, Set[int]]
+_EMPTY: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
 class _LinkIndex:
     """One-pass index over instance-level links (see ``SchemaView._links``).
 
-    ``connection_counts`` maps ``(property, source class, target class)`` to
-    the number of instance links; ``subject_links`` / ``object_links`` map
-    an instance to the ids of the links it can claim for a member set;
-    ``class_links`` pre-unions those per class (every link id any member
-    can claim), so the relative-cardinality denominator is a union of a
-    few per-class sets instead of a walk over every member -- the semantic
-    measures query it once per property edge, and the per-member walk used
-    to dominate a cold first evaluation on instance-heavy versions.
+    ``connection_counts`` maps ``(property, source class, target class)``
+    ids to the number of instance links; ``class_links`` maps a class id
+    to the ids of every link one of its instances can claim, so the
+    relative-cardinality denominator is a union of a few per-class sets
+    instead of a walk over every member.
     """
 
-    connection_counts: Dict[Tuple[IRI, IRI, IRI], int]
-    subject_links: Dict[Term, FrozenSet[int]]
-    object_links: Dict[Term, FrozenSet[int]]
-    class_links: Dict[IRI, FrozenSet[int]]
+    connection_counts: Dict[Tuple[int, int, int], int]
+    class_links: Dict[int, FrozenSet[int]]
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,7 @@ class SchemaView:
 
     def __init__(self, graph: Graph, parent: "SchemaView | None" = None) -> None:
         self._graph = graph
+        self._terms = graph.dictionary.terms
         # Weak, so a chain of views never keeps its ancestors alive.
         self._parent = weakref.ref(parent) if parent is not None else None
         # Reentrant: artefact factories running under memoize() call back
@@ -130,20 +133,25 @@ class SchemaView:
     def _reset_caches(self) -> None:
         """(Re)initialise every lazy cache, pinned to the graph's revision."""
         self._revision = self._graph.revision
+        self._class_ids: FrozenSet[int] | None = None
         self._classes: FrozenSet[IRI] | None = None
         self._classes_nonbuiltin: FrozenSet[IRI] | None = None
+        self._property_ids: FrozenSet[int] | None = None
         self._properties: FrozenSet[IRI] | None = None
         self._properties_nonbuiltin: FrozenSet[IRI] | None = None
-        self._direct_superclasses: Dict[IRI, Set[IRI]] | None = None
-        self._direct_subclasses: Dict[IRI, Set[IRI]] | None = None
-        self._domains: Dict[IRI, Set[IRI]] | None = None
-        self._ranges: Dict[IRI, Set[IRI]] | None = None
-        self._instances: Dict[IRI, Set[Term]] | None = None
-        self._instance_classes: Dict[Term, FrozenSet[IRI]] | None = None
+        self._supers: _IdMap | None = None
+        self._subs: _IdMap | None = None
+        self._domains: _IdMap | None = None
+        self._ranges: _IdMap | None = None
+        self._edge_ids: Tuple[Tuple[int, int, int], ...] | None = None
         self._property_edges: Tuple[PropertyEdge, ...] | None = None
-        self._edges_by_source: Dict[IRI, Tuple[PropertyEdge, ...]] | None = None
-        self._edges_by_target: Dict[IRI, Tuple[PropertyEdge, ...]] | None = None
-        self._edges_by_prop: Dict[IRI, Tuple[PropertyEdge, ...]] | None = None
+        self._edges_by_source: Dict[int, Tuple[PropertyEdge, ...]] | None = None
+        self._edges_by_target: Dict[int, Tuple[PropertyEdge, ...]] | None = None
+        self._edges_by_prop: Dict[int, Tuple[PropertyEdge, ...]] | None = None
+        self._neighbor_ids: _IdMap | None = None
+        self._instances: _IdMap | None = None
+        self._instance_classes: Dict[int, Tuple[int, ...]] | None = None
+        self._transitive_counts: Dict[int, int] = {}
         self._link_index: "_LinkIndex | None" = None
         self._neighborhoods: Dict[IRI, FrozenSet[IRI]] = {}
         self._memo: Dict[str, object] = {}
@@ -210,7 +218,50 @@ class SchemaView:
         ref = self._parent
         return ref() if ref is not None else None
 
+    # -- id space -------------------------------------------------------------
+
+    def _id(self, term: Term) -> Optional[int]:
+        """The term's id in the graph's dictionary; None if never interned."""
+        return self._graph.dictionary.id_of(term)
+
+    def _by_object(self, predicate: IRI) -> Dict[int, Set[int]]:
+        """``object id -> subject ids`` of every ``(?, predicate, ?)`` triple."""
+        pid = self._id(predicate)
+        if pid is None:
+            return {}
+        return self._graph.predicate_index.get(pid, {})
+
+    def _iri_ids(self, ids: Iterable[int]) -> Set[int]:
+        terms = self._terms
+        return {i for i in ids if isinstance(terms[i], IRI)}
+
+    def _is_builtin_id(self, tid: int) -> bool:
+        return _is_builtin_value(self._terms[tid].value)
+
+    def _to_terms(self, ids: Iterable[int]) -> FrozenSet:
+        terms = self._terms
+        return frozenset([terms[i] for i in ids])
+
     # -- schema elements ----------------------------------------------------
+
+    def _classes_by_id(self) -> FrozenSet[int]:
+        """Ids of every class, builtin ones included (see :meth:`classes`)."""
+        self._revalidate()
+        if self._class_ids is None:
+            found: Set[int] = set()
+            typed = self._by_object(RDF_TYPE)
+            for class_meta in (RDFS_CLASS, OWL_CLASS):
+                cid = self._id(class_meta)
+                if cid is not None:
+                    found.update(typed.get(cid, ()))
+            subclass_of = self._by_object(RDFS_SUBCLASSOF)
+            found.update(subclass_of)
+            found.update(*subclass_of.values())
+            found.update(self._by_object(RDFS_DOMAIN))
+            found.update(self._by_object(RDFS_RANGE))
+            found.update(typed)
+            self._class_ids = frozenset(self._iri_ids(found))
+        return self._class_ids
 
     def classes(self, include_builtin: bool = False) -> FrozenSet[IRI]:
         """All classes of the knowledge base.
@@ -222,33 +273,36 @@ class SchemaView:
         vocabulary terms (rdf/rdfs/owl/xsd) are excluded unless requested.
         """
         self._revalidate()
-        if self._classes is None:
-            found: Set[IRI] = set()
-            g = self._graph
-            for class_meta in (RDFS_CLASS, OWL_CLASS):
-                for s in g.subjects(RDF_TYPE, class_meta):
-                    if isinstance(s, IRI):
-                        found.add(s)
-            for triple in g.match(None, RDFS_SUBCLASSOF, None):
-                if isinstance(triple.subject, IRI):
-                    found.add(triple.subject)
-                if isinstance(triple.object, IRI):
-                    found.add(triple.object)
-            for pred in (RDFS_DOMAIN, RDFS_RANGE):
-                for triple in g.match(None, pred, None):
-                    if isinstance(triple.object, IRI):
-                        found.add(triple.object)
-            for triple in g.match(None, RDF_TYPE, None):
-                if isinstance(triple.object, IRI):
-                    found.add(triple.object)
-            self._classes = frozenset(found)
         if include_builtin:
+            if self._classes is None:
+                self._classes = self._to_terms(self._classes_by_id())
             return self._classes
         if self._classes_nonbuiltin is None:
-            self._classes_nonbuiltin = frozenset(
-                c for c in self._classes if not _is_builtin(c)
+            self._classes_nonbuiltin = self._to_terms(
+                c for c in self._classes_by_id() if not self._is_builtin_id(c)
             )
         return self._classes_nonbuiltin
+
+    def _properties_by_id(self) -> FrozenSet[int]:
+        """Ids of every property, builtin ones included (see :meth:`properties`)."""
+        self._revalidate()
+        if self._property_ids is None:
+            found: Set[int] = set()
+            typed = self._by_object(RDF_TYPE)
+            for prop_meta in (RDF_PROPERTY, OWL_OBJECT_PROPERTY):
+                pid = self._id(prop_meta)
+                if pid is not None:
+                    found.update(typed.get(pid, ()))
+            for pred in (RDFS_DOMAIN, RDFS_RANGE):
+                found.update(*self._by_object(pred).values())
+            subproperty_of = self._by_object(RDFS_SUBPROPERTYOF)
+            found.update(subproperty_of)
+            found.update(*subproperty_of.values())
+            found.update(
+                p for p in self._graph.predicate_index if not self._is_builtin_id(p)
+            )
+            self._property_ids = frozenset(self._iri_ids(found))
+        return self._property_ids
 
     def properties(self, include_builtin: bool = False) -> FrozenSet[IRI]:
         """All properties of the knowledge base.
@@ -259,31 +313,13 @@ class SchemaView:
         predicate of a non-vocabulary triple.
         """
         self._revalidate()
-        if self._properties is None:
-            found: Set[IRI] = set()
-            g = self._graph
-            for prop_meta in (RDF_PROPERTY, OWL_OBJECT_PROPERTY):
-                for s in g.subjects(RDF_TYPE, prop_meta):
-                    if isinstance(s, IRI):
-                        found.add(s)
-            for pred in (RDFS_DOMAIN, RDFS_RANGE):
-                for triple in g.match(None, pred, None):
-                    if isinstance(triple.subject, IRI):
-                        found.add(triple.subject)
-            for triple in g.match(None, RDFS_SUBPROPERTYOF, None):
-                if isinstance(triple.subject, IRI):
-                    found.add(triple.subject)
-                if isinstance(triple.object, IRI):
-                    found.add(triple.object)
-            for triple in g.match(None, None, None):
-                if not _is_builtin(triple.predicate):
-                    found.add(triple.predicate)
-            self._properties = frozenset(found)
         if include_builtin:
+            if self._properties is None:
+                self._properties = self._to_terms(self._properties_by_id())
             return self._properties
         if self._properties_nonbuiltin is None:
-            self._properties_nonbuiltin = frozenset(
-                p for p in self._properties if not _is_builtin(p)
+            self._properties_nonbuiltin = self._to_terms(
+                p for p in self._properties_by_id() if not self._is_builtin_id(p)
             )
         return self._properties_nonbuiltin
 
@@ -297,43 +333,56 @@ class SchemaView:
 
     # -- subsumption ----------------------------------------------------------
 
-    def _subsumption_maps(self) -> Tuple[Dict[IRI, Set[IRI]], Dict[IRI, Set[IRI]]]:
+    def _pairs(self, predicate: IRI) -> Tuple[_IdMap, _IdMap]:
+        """``(subject -> objects, object -> subjects)`` of the predicate's
+        triples whose two ends are both IRIs, by id."""
+        forward: _IdMap = {}
+        backward: _IdMap = {}
+        terms = self._terms
+        for o, subjects in self._by_object(predicate).items():
+            if not isinstance(terms[o], IRI):
+                continue
+            for s in subjects:
+                if isinstance(terms[s], IRI):
+                    forward.setdefault(s, set()).add(o)
+                    backward.setdefault(o, set()).add(s)
+        return forward, backward
+
+    def _subsumption_maps(self) -> Tuple[_IdMap, _IdMap]:
+        """``(direct superclasses, direct subclasses)`` by class id."""
         # The two maps publish together under the lock: a lock-free reader
         # racing the fill could otherwise observe supers set but subs None.
         self._revalidate()
-        if self._direct_superclasses is None:
+        if self._supers is None:
             with self._lock:
-                if self._direct_superclasses is None:
-                    supers: Dict[IRI, Set[IRI]] = {}
-                    subs: Dict[IRI, Set[IRI]] = {}
-                    for triple in self._graph.match(None, RDFS_SUBCLASSOF, None):
-                        if isinstance(triple.subject, IRI) and isinstance(
-                            triple.object, IRI
-                        ):
-                            supers.setdefault(triple.subject, set()).add(triple.object)
-                            subs.setdefault(triple.object, set()).add(triple.subject)
-                    self._direct_subclasses = subs
-                    self._direct_superclasses = supers
-        assert self._direct_subclasses is not None
-        return self._direct_superclasses, self._direct_subclasses
+                if self._supers is None:
+                    supers, subs = self._pairs(RDFS_SUBCLASSOF)
+                    self._subs = subs
+                    self._supers = supers
+        assert self._subs is not None
+        return self._supers, self._subs
 
     def superclasses(self, cls: IRI, transitive: bool = False) -> FrozenSet[IRI]:
         """Direct (or transitive) superclasses of ``cls``."""
         supers, _ = self._subsumption_maps()
-        if not transitive:
-            return frozenset(supers.get(cls, ()))
-        return self._closure(cls, supers)
+        return self._related(cls, supers, transitive)
 
     def subclasses(self, cls: IRI, transitive: bool = False) -> FrozenSet[IRI]:
         """Direct (or transitive) subclasses of ``cls``."""
         _, subs = self._subsumption_maps()
+        return self._related(cls, subs, transitive)
+
+    def _related(self, cls: IRI, step: _IdMap, transitive: bool) -> FrozenSet[IRI]:
+        cid = self._id(cls)
+        if cid is None:
+            return frozenset()
         if not transitive:
-            return frozenset(subs.get(cls, ()))
-        return self._closure(cls, subs)
+            return self._to_terms(step.get(cid, ()))
+        return self._to_terms(self._closure(cid, step))
 
     @staticmethod
-    def _closure(start: IRI, step: Dict[IRI, Set[IRI]]) -> FrozenSet[IRI]:
-        seen: Set[IRI] = set()
+    def _closure(start: int, step: _IdMap) -> Set[int]:
+        seen: Set[int] = set()
         frontier = deque(step.get(start, ()))
         while frontier:
             node = frontier.popleft()
@@ -341,12 +390,16 @@ class SchemaView:
                 continue
             seen.add(node)
             frontier.extend(step.get(node, ()))
-        return frozenset(seen)
+        return seen
 
     def roots(self) -> FrozenSet[IRI]:
         """Classes with no (non-builtin) superclass."""
-        return frozenset(
-            c for c in self.classes() if not any(not _is_builtin(s) for s in self.superclasses(c))
+        supers, _ = self._subsumption_maps()
+        builtin = self._is_builtin_id
+        return self._to_terms(
+            c
+            for c in self._classes_by_id()
+            if not builtin(c) and all(builtin(s) for s in supers.get(c, ()))
         )
 
     def depth(self, cls: IRI) -> int:
@@ -357,13 +410,14 @@ class SchemaView:
         if cls not in self.classes(include_builtin=True):
             raise SchemaError(f"unknown class: {cls}")
         supers, _ = self._subsumption_maps()
+        cid = self._id(cls)
         depth = 0
-        frontier: Set[IRI] = {cls}
-        seen: Set[IRI] = set(frontier)
+        frontier: Set[int] = {cid}
+        seen: Set[int] = set(frontier)
         while frontier:
-            parents: Set[IRI] = set()
+            parents: Set[int] = set()
             for node in frontier:
-                parents |= {p for p in supers.get(node, ()) if not _is_builtin(p)}
+                parents |= {p for p in supers.get(node, ()) if not self._is_builtin_id(p)}
             parents -= seen
             if not parents:
                 return depth
@@ -374,62 +428,67 @@ class SchemaView:
 
     # -- property structure ---------------------------------------------------
 
-    def _domain_range_maps(self) -> Tuple[Dict[IRI, Set[IRI]], Dict[IRI, Set[IRI]]]:
+    def _domain_range_maps(self) -> Tuple[_IdMap, _IdMap]:
+        """``(property -> domain classes, property -> range classes)`` by id."""
         self._revalidate()
         if self._domains is None:
             with self._lock:
                 if self._domains is None:
-                    domains: Dict[IRI, Set[IRI]] = {}
-                    ranges: Dict[IRI, Set[IRI]] = {}
-                    for triple in self._graph.match(None, RDFS_DOMAIN, None):
-                        if isinstance(triple.subject, IRI) and isinstance(
-                            triple.object, IRI
-                        ):
-                            domains.setdefault(triple.subject, set()).add(triple.object)
-                    for triple in self._graph.match(None, RDFS_RANGE, None):
-                        if isinstance(triple.subject, IRI) and isinstance(
-                            triple.object, IRI
-                        ):
-                            ranges.setdefault(triple.subject, set()).add(triple.object)
+                    ranges = self._pairs(RDFS_RANGE)[0]
                     # Ranges publish first: the fast path checks _domains.
                     self._ranges = ranges
-                    self._domains = domains
+                    self._domains = self._pairs(RDFS_DOMAIN)[0]
         assert self._ranges is not None
         return self._domains, self._ranges
 
     def domain(self, prop: IRI) -> FrozenSet[IRI]:
         """Declared domain classes of ``prop`` (possibly empty)."""
         domains, _ = self._domain_range_maps()
-        return frozenset(domains.get(prop, ()))
+        return self._to_terms(domains.get(self._id(prop), ()))
 
     def range(self, prop: IRI) -> FrozenSet[IRI]:
         """Declared range classes of ``prop`` (possibly empty)."""
         _, ranges = self._domain_range_maps()
-        return frozenset(ranges.get(prop, ()))
+        return self._to_terms(ranges.get(self._id(prop), ()))
+
+    def _edges_by_id(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(source, property, target)`` ids of :meth:`property_edges`, in order."""
+        self._revalidate()
+        if self._edge_ids is None:
+            domains, ranges = self._domain_range_maps()
+            terms = self._terms
+
+            def by_value(tid: int) -> str:
+                return terms[tid].value
+
+            edges: List[Tuple[int, int, int]] = []
+            for prop in sorted(domains.keys() | ranges.keys(), key=by_value):
+                if self._is_builtin_id(prop):
+                    continue
+                targets = sorted(ranges.get(prop, ()), key=by_value)
+                for src in sorted(domains.get(prop, ()), key=by_value):
+                    edges.extend((src, prop, dst) for dst in targets)
+            self._edge_ids = tuple(edges)
+        return self._edge_ids
 
     def property_edges(self) -> Tuple[PropertyEdge, ...]:
         """Every (domain class, property, range class) schema edge."""
         self._revalidate()
         if self._property_edges is None:
-            edges: List[PropertyEdge] = []
-            domains, ranges = self._domain_range_maps()
-            for prop in sorted(set(domains) | set(ranges), key=lambda p: p.value):
-                if _is_builtin(prop):
-                    continue
-                for src in sorted(domains.get(prop, ()), key=lambda c: c.value):
-                    for dst in sorted(ranges.get(prop, ()), key=lambda c: c.value):
-                        edges.append(PropertyEdge(src, prop, dst))
-            self._property_edges = tuple(edges)
+            terms = self._terms
+            self._property_edges = tuple(
+                PropertyEdge(terms[s], terms[p], terms[t]) for s, p, t in self._edges_by_id()
+            )
         return self._property_edges
 
     def _edge_maps(
         self,
     ) -> Tuple[
-        Dict[IRI, Tuple[PropertyEdge, ...]],
-        Dict[IRI, Tuple[PropertyEdge, ...]],
-        Dict[IRI, Tuple[PropertyEdge, ...]],
+        Dict[int, Tuple[PropertyEdge, ...]],
+        Dict[int, Tuple[PropertyEdge, ...]],
+        Dict[int, Tuple[PropertyEdge, ...]],
     ]:
-        """Per-class / per-property edge indexes (edge order preserved).
+        """Per-class / per-property edge indexes by id (edge order preserved).
 
         The semantic measures ask for the edges of every class of both
         versions; indexing once replaces a full edge scan per query.
@@ -438,13 +497,13 @@ class SchemaView:
         if self._edges_by_source is None:
             with self._lock:
                 if self._edges_by_source is None:
-                    by_source: Dict[IRI, List[PropertyEdge]] = {}
-                    by_target: Dict[IRI, List[PropertyEdge]] = {}
-                    by_prop: Dict[IRI, List[PropertyEdge]] = {}
-                    for edge in self.property_edges():
-                        by_source.setdefault(edge.source, []).append(edge)
-                        by_target.setdefault(edge.target, []).append(edge)
-                        by_prop.setdefault(edge.prop, []).append(edge)
+                    by_source: Dict[int, List[PropertyEdge]] = {}
+                    by_target: Dict[int, List[PropertyEdge]] = {}
+                    by_prop: Dict[int, List[PropertyEdge]] = {}
+                    for (s, p, t), edge in zip(self._edges_by_id(), self.property_edges()):
+                        by_source.setdefault(s, []).append(edge)
+                        by_target.setdefault(t, []).append(edge)
+                        by_prop.setdefault(p, []).append(edge)
                     # by_source publishes last: it is the fast-path check.
                     self._edges_by_target = {c: tuple(e) for c, e in by_target.items()}
                     self._edges_by_prop = {p: tuple(e) for p, e in by_prop.items()}
@@ -454,65 +513,103 @@ class SchemaView:
 
     def outgoing_properties(self, cls: IRI) -> Tuple[PropertyEdge, ...]:
         """Schema edges whose domain is ``cls``."""
-        return self._edge_maps()[0].get(cls, ())
+        return self._edge_maps()[0].get(self._id(cls), ())
 
     def incoming_properties(self, cls: IRI) -> Tuple[PropertyEdge, ...]:
         """Schema edges whose range is ``cls``."""
-        return self._edge_maps()[1].get(cls, ())
+        return self._edge_maps()[1].get(self._id(cls), ())
 
     def edges_of_property(self, prop: IRI) -> Tuple[PropertyEdge, ...]:
         """Schema edges carried by ``prop``."""
-        return self._edge_maps()[2].get(prop, ())
+        return self._edge_maps()[2].get(self._id(prop), ())
 
     # -- instances --------------------------------------------------------------
 
-    def _instance_map(self) -> Dict[IRI, Set[Term]]:
+    def _instance_map(self) -> _IdMap:
+        """``class id -> instance ids`` of every non-builtin class with instances.
+
+        An instance is an ``rdf:type`` subject that is not itself a class.
+        """
         self._revalidate()
         if self._instances is None:
-            classes = self.classes(include_builtin=True)
-            instances: Dict[IRI, Set[Term]] = {}
-            for triple in self._graph.match(None, RDF_TYPE, None):
-                obj = triple.object
-                if isinstance(obj, IRI) and obj in classes and not _is_builtin(obj):
-                    if triple.subject not in classes:
-                        instances.setdefault(obj, set()).add(triple.subject)
+            classes = self._classes_by_id()
+            instances: _IdMap = {}
+            for obj, subjects in self._by_object(RDF_TYPE).items():
+                if obj in classes and not self._is_builtin_id(obj):
+                    members = subjects - classes
+                    if members:
+                        instances[obj] = members
             self._instances = instances
         return self._instances
 
+    def _classes_of_instances(self) -> Dict[int, Tuple[int, ...]]:
+        """``instance id -> class ids``: the instance map reversed."""
+        self._revalidate()
+        if self._instance_classes is None:
+            reverse: Dict[int, Tuple[int, ...]] = {}
+            for cls, members in self._instance_map().items():
+                for member in members:
+                    reverse[member] = reverse.get(member, ()) + (cls,)
+            self._instance_classes = reverse
+        return self._instance_classes
+
     def instances_of(self, cls: IRI, transitive: bool = False) -> FrozenSet[Term]:
         """Instances typed ``cls`` (optionally including subclass instances)."""
+        cid = self._id(cls)
+        if cid is None:
+            return frozenset()
+        return self._to_terms(self._members(cid, transitive))
+
+    def _members(self, cid: int, transitive: bool) -> Set[int] | FrozenSet[int]:
         inst = self._instance_map()
-        result: Set[Term] = set(inst.get(cls, ()))
-        if transitive:
-            for sub in self.subclasses(cls, transitive=True):
-                result |= inst.get(sub, set())
-        return frozenset(result)
+        if not transitive:
+            return inst.get(cid, _EMPTY)
+        _, subs = self._subsumption_maps()
+        members = set(inst.get(cid, ()))
+        members.update(*(inst.get(sub, _EMPTY) for sub in self._closure(cid, subs)))
+        return members
 
     def instance_count(self, cls: IRI, transitive: bool = False) -> int:
-        """``len(instances_of(cls, transitive))`` without building a frozenset copy."""
+        """``len(instances_of(cls, transitive))`` without building a frozenset copy.
+
+        Transitive counts are memoised per class: the relevance measure
+        asks for every class's count once per version.
+        """
+        self._revalidate()
+        cid = self._id(cls)
+        if cid is None:
+            return 0
         if not transitive:
-            return len(self._instance_map().get(cls, ()))
-        return len(self.instances_of(cls, transitive=True))
+            return len(self._instance_map().get(cid, ()))
+        counts = self._transitive_counts
+        count = counts.get(cid)
+        if count is None:
+            count = counts[cid] = len(self._members(cid, True))
+        return count
 
     def total_instances(self) -> int:
         """Number of distinct instance terms across all classes."""
-        all_instances: Set[Term] = set()
-        for members in self._instance_map().values():
-            all_instances |= members
-        return len(all_instances)
+        return len(self._classes_of_instances())
 
     def classes_of(self, instance: Term) -> FrozenSet[IRI]:
         """The classes an instance is directly typed with."""
-        self._revalidate()
-        if self._instance_classes is None:
-            reverse: Dict[Term, Set[IRI]] = {}
-            for cls, members in self._instance_map().items():
-                for member in members:
-                    reverse.setdefault(member, set()).add(cls)
-            self._instance_classes = {m: frozenset(c) for m, c in reverse.items()}
-        return self._instance_classes.get(instance, frozenset())
+        return self._to_terms(self._classes_of_instances().get(self._id(instance), ()))
 
     # -- neighbourhood (Section II.b) ------------------------------------------
+
+    def _neighbor_map(self) -> _IdMap:
+        """``class id -> ids`` related to it via subsumption or a property edge."""
+        self._revalidate()
+        if self._neighbor_ids is None:
+            related: _IdMap = {}
+            supers, _ = self._subsumption_maps()
+            pairs = [(cls, parent) for cls, parents in supers.items() for parent in parents]
+            pairs += [(s, t) for s, _, t in self._edges_by_id()]
+            for a, b in pairs:
+                related.setdefault(a, set()).add(b)
+                related.setdefault(b, set()).add(a)
+            self._neighbor_ids = related
+        return self._neighbor_ids
 
     def neighborhood(self, cls: IRI) -> FrozenSet[IRI]:
         """Classes related to ``cls`` via subsumption or via a property.
@@ -530,17 +627,11 @@ class SchemaView:
         cached = self._neighborhoods.get(cls)
         if cached is not None:
             return cached
-        related: Set[IRI] = set()
-        related |= self.superclasses(cls)
-        related |= self.subclasses(cls)
-        by_source, by_target, _ = self._edge_maps()
-        for edge in by_source.get(cls, ()):
-            related.add(edge.target)
-        for edge in by_target.get(cls, ()):
-            if edge.source != cls:
-                related.add(edge.source)
-        related.discard(cls)
-        result = frozenset(c for c in related if not _is_builtin(c))
+        cid = self._id(cls)
+        related = self._neighbor_map().get(cid, _EMPTY) if cid is not None else _EMPTY
+        result = self._to_terms(
+            c for c in related if c != cid and not self._is_builtin_id(c)
+        )
         self._neighborhoods[cls] = result
         return result
 
@@ -553,21 +644,23 @@ class SchemaView:
         contributes one undirected edge ``(a, b)`` with ``a < b`` by IRI value.
         Self-loops are dropped.
         """
-        edges: Set[Tuple[IRI, IRI]] = set()
+        pairs: Set[Tuple[int, int]] = set()
+        terms = self._terms
+        is_builtin = self._is_builtin_id
 
-        def _undirected(a: IRI, b: IRI) -> None:
-            if a == b or _is_builtin(a) or _is_builtin(b):
+        def _undirected(a: int, b: int) -> None:
+            if a == b or is_builtin(a) or is_builtin(b):
                 return
-            edges.add((a, b) if a.value <= b.value else (b, a))
+            pairs.add((a, b) if terms[a].value <= terms[b].value else (b, a))
 
         if include_subsumption:
             supers, _ = self._subsumption_maps()
             for cls, parents in supers.items():
                 for parent in parents:
                     _undirected(cls, parent)
-        for edge in self.property_edges():
-            _undirected(edge.source, edge.target)
-        return edges
+        for source, _, target in self._edges_by_id():
+            _undirected(source, target)
+        return {(terms[a], terms[b]) for a, b in pairs}
 
     # -- instance-level connections (Section II.d substrate) ---------------------
     #
@@ -582,56 +675,52 @@ class SchemaView:
             with self._lock:
                 if self._link_index is not None:
                     return self._link_index
-                instance_classes: Dict[Term, Tuple[IRI, ...]] = {}
-                for cls, members in self._instance_map().items():
-                    for member in members:
-                        instance_classes[member] = instance_classes.get(member, ()) + (cls,)
-
-                connection_counts: Dict[Tuple[IRI, IRI, IRI], int] = {}
-                subject_links: Dict[Term, List[int]] = {}
-                object_links: Dict[Term, List[int]] = {}
+                instance_classes = self._classes_of_instances()
+                terms = self._terms
+                connection_counts: Dict[Tuple[int, int, int], int] = {}
+                subject_links: Dict[int, List[int]] = {}
+                object_links: Dict[int, List[int]] = {}
                 link_id = 0
-                for triple in self._graph.match(None, None, None):
-                    if _is_builtin(triple.predicate):
+                for pred, by_object in self._graph.predicate_index.items():
+                    if self._is_builtin_id(pred):
                         continue
-                    obj = triple.object
-                    is_instance_object = obj in instance_classes
-                    if not isinstance(obj, IRI) and not is_instance_object:
-                        continue  # literal attributes / anonymous non-instances
-                    # A link counts for a member set when its subject is a member
-                    # (IRI objects only, matching the historical semantics) or
-                    # its object is a member.
-                    if isinstance(obj, IRI):
-                        subject_links.setdefault(triple.subject, []).append(link_id)
-                    if is_instance_object:
-                        object_links.setdefault(obj, []).append(link_id)
-                    for src_cls in instance_classes.get(triple.subject, ()):
-                        for tgt_cls in instance_classes.get(obj, ()):
-                            key = (triple.predicate, src_cls, tgt_cls)
-                            connection_counts[key] = connection_counts.get(key, 0) + 1
-                    link_id += 1
-                subject_sets = {k: frozenset(v) for k, v in subject_links.items()}
-                object_sets = {k: frozenset(v) for k, v in object_links.items()}
-                empty: FrozenSet[int] = frozenset()
-                class_links: Dict[IRI, FrozenSet[int]] = {}
+                    for obj, subjects in by_object.items():
+                        object_is_iri = isinstance(terms[obj], IRI)
+                        target_classes = instance_classes.get(obj)
+                        if not object_is_iri and target_classes is None:
+                            continue  # literal attributes / anonymous non-instances
+                        # A link counts for a member set when its subject is a
+                        # member (IRI objects only, matching the historical
+                        # semantics) or its object is a member.
+                        first = link_id
+                        for subj in subjects:
+                            if object_is_iri:
+                                subject_links.setdefault(subj, []).append(link_id)
+                            if target_classes is not None:
+                                for src_cls in instance_classes.get(subj, ()):
+                                    for tgt_cls in target_classes:
+                                        key = (pred, src_cls, tgt_cls)
+                                        connection_counts[key] = connection_counts.get(key, 0) + 1
+                            link_id += 1
+                        if target_classes is not None:
+                            object_links.setdefault(obj, []).extend(range(first, link_id))
+                class_links: Dict[int, FrozenSet[int]] = {}
                 for cls, members in self._instance_map().items():
                     bucket: Set[int] = set()
                     for member in members:
-                        bucket |= subject_sets.get(member, empty)
-                        bucket |= object_sets.get(member, empty)
+                        bucket.update(subject_links.get(member, ()))
+                        bucket.update(object_links.get(member, ()))
                     class_links[cls] = frozenset(bucket)
                 self._link_index = _LinkIndex(
-                    connection_counts=connection_counts,
-                    subject_links=subject_sets,
-                    object_links=object_sets,
-                    class_links=class_links,
+                    connection_counts=connection_counts, class_links=class_links
                 )
         return self._link_index
 
     def instance_connections(self, prop: IRI, source_cls: IRI, target_cls: IRI) -> int:
         """Number of instance-level links ``(x, prop, y)`` with ``x`` an instance
         of ``source_cls`` and ``y`` an instance of ``target_cls``."""
-        return self._links().connection_counts.get((prop, source_cls, target_cls), 0)
+        key = (self._id(prop), self._id(source_cls), self._id(target_cls))
+        return self._links().connection_counts.get(key, 0)  # type: ignore[arg-type]
 
     def instance_link_count(self, classes: Iterable[IRI]) -> int:
         """Total instance-to-instance property assertions touching instances of
@@ -641,10 +730,8 @@ class SchemaView:
         identical semantics to walking every member (the per-class sets
         are exactly those unions), at a fraction of the set operations.
         """
-        index = self._links()
-        class_links = index.class_links
-        empty: FrozenSet[int] = frozenset()
-        sets = [class_links.get(cls, empty) for cls in classes]
+        class_links = self._links().class_links
+        sets = [class_links.get(self._id(cls), _EMPTY) for cls in classes]  # type: ignore[arg-type]
         if not sets:
             return 0
         if len(sets) == 1:

@@ -55,18 +55,23 @@ class Triple:
         )
 
     @classmethod
-    def _interned(cls, subject: Term, predicate: IRI, obj: Term) -> "Triple":
+    def _interned(
+        cls, subject: Term, predicate: IRI, obj: Term, cached_hash: int | None = None
+    ) -> "Triple":
         """Unchecked construction for terms already validated by interning.
 
         :class:`~repro.kb.interning.TermDictionary` only hands back terms
         that entered through a validated ``Triple``, so materialisation can
-        skip ``__init__``/``__post_init__`` entirely.
+        skip ``__init__``/``__post_init__`` entirely.  ``cached_hash`` is
+        the hash of an equal triple, when the caller has one.
         """
         triple = _OBJECT_NEW(cls)
         _OBJECT_SETATTR(triple, "subject", subject)
         _OBJECT_SETATTR(triple, "predicate", predicate)
         _OBJECT_SETATTR(triple, "object", obj)
-        _OBJECT_SETATTR(triple, "_cached_hash", hash((subject, predicate, obj)))
+        if cached_hash is None:
+            cached_hash = hash((subject, predicate, obj))
+        _OBJECT_SETATTR(triple, "_cached_hash", cached_hash)
         return triple
 
     def n3(self) -> str:

@@ -45,6 +45,8 @@ class FeedbackStore:
         self._events: List[FeedbackEvent] = []
         self._sums: Dict[Tuple[str, str], float] = {}
         self._counts: Dict[Tuple[str, str], int] = {}
+        # user -> that user's (user, item) keys, in first-event order.
+        self._user_keys: Dict[str, List[Tuple[str, str]]] = {}
         for event in events:
             self.add(event)
 
@@ -52,8 +54,11 @@ class FeedbackStore:
         """Record one event."""
         self._events.append(event)
         key = (event.user_id, event.item_key)
+        count = self._counts.get(key, 0)
+        if not count:
+            self._user_keys.setdefault(event.user_id, []).append(key)
         self._sums[key] = self._sums.get(key, 0.0) + event.rating
-        self._counts[key] = self._counts.get(key, 0) + 1
+        self._counts[key] = count + 1
 
     def rating(self, user_id: str, item_key: str) -> float | None:
         """Mean rating of the pair, or None when never rated."""
@@ -63,12 +68,10 @@ class FeedbackStore:
         return self._sums[key] / self._counts[key]
 
     def ratings_by_user(self, user_id: str) -> Dict[str, float]:
-        """Mean rating of every item the user interacted with."""
-        result: Dict[str, float] = {}
-        for (uid, item_key), count in self._counts.items():
-            if uid == user_id:
-                result[item_key] = self._sums[(uid, item_key)] / count
-        return result
+        """Mean rating of every item the user interacted with, in the order
+        of each item's first event."""
+        sums, counts = self._sums, self._counts
+        return {key[1]: sums[key] / counts[key] for key in self._user_keys.get(user_id, ())}
 
     def ratings_by_item(self, item_key: str) -> Dict[str, float]:
         """Mean rating of every user who interacted with the item."""

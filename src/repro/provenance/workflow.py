@@ -37,11 +37,19 @@ class TaskRun:
     activity: Activity
 
 
+#: The handles of every run of a non-capturing workflow: such a run mints
+#: no id, reads no clock and records nothing, yet its ``output`` can still
+#: be passed on as another task's input.
+_UNCAPTURED_OUTPUT = Entity("entity:uncaptured", label="uncaptured")
+_UNCAPTURED_ACTIVITY = Activity("activity:uncaptured", label="uncaptured")
+
+
 class Workflow:
     """Runs callables as provenance-tracked tasks.
 
     ``store=None`` disables capture entirely (zero overhead), which is the
-    control condition of experiment E9.
+    control condition of experiment E9: its runs carry shared placeholder
+    handles instead of fresh ones.
     """
 
     def __init__(
@@ -91,6 +99,13 @@ class Workflow:
         that large values need not be wrapped as entities).
         """
         kwargs = kwargs or {}
+        store = self._store
+        if store is None:
+            return TaskRun(
+                value=func(*args, **kwargs),
+                output=_UNCAPTURED_OUTPUT,
+                activity=_UNCAPTURED_ACTIVITY,
+            )
         started = time.time()
         value = func(*args, **kwargs)
         ended = time.time()
@@ -102,16 +117,13 @@ class Workflow:
             ended_at=ended,
         )
         output = Entity(fresh_id("entity"), label=output_label or f"{label}:output")
-
-        if self._store is not None:
-            self._store.add_activity(activity)
-            self._store.add_entity(output)
-            self._store.was_associated_with(activity.activity_id, self._agent.agent_id)
-            for entity in inputs:
-                self._store.used(activity.activity_id, entity.entity_id)
-                self._store.was_derived_from(output.entity_id, entity.entity_id)
-            self._store.was_generated_by(output.entity_id, activity.activity_id, at_time=ended)
-
+        store.add_activity(activity)
+        store.add_entity(output)
+        store.was_associated_with(activity.activity_id, self._agent.agent_id)
+        for entity in inputs:
+            store.used(activity.activity_id, entity.entity_id)
+            store.was_derived_from(output.entity_id, entity.entity_id)
+        store.was_generated_by(output.entity_id, activity.activity_id, at_time=ended)
         return TaskRun(value=value, output=output, activity=activity)
 
     def explain(self, entity_id: str) -> List[str]:

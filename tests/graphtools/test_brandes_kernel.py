@@ -12,9 +12,10 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.graphtools import betweenness
 from repro.graphtools.adjacency import UndirectedGraph
 from repro.graphtools.betweenness import (
     BLOCK_SOURCES,
@@ -179,6 +180,174 @@ def _grid(rows, cols):
 @pytest.mark.parametrize("rows, cols", [(3, 7), (8, 8), (4, 30)])
 def test_grids_match_the_reference(rows, cols):
     assert_kernel_matches(_grid(rows, cols), range(rows * cols))
+
+
+# -- leaf sources, folded onto their neighbour's row ------------------------------------
+
+
+@st.composite
+def leafy_graphs(draw):
+    """Graphs where many nodes are leaves: stars, caterpillars, hub trees or
+    a random cyclic core with leaves hung on it.
+
+    Each may also get a few extra edges, lone edges (2-node components),
+    pendant paths of two (a leaf on a former leaf) and isolated nodes, and
+    node ids are shuffled so a leaf's index may lie above or below its
+    neighbour's.
+    """
+    edges = []
+    count = [0]
+
+    def node():
+        count[0] += 1
+        return count[0] - 1
+
+    shape = draw(st.sampled_from(["stars", "caterpillar", "tree", "core"]))
+    if shape == "core":
+        # A cyclic core, so path counts and dependencies are not integers,
+        # with leaves hung on its nodes.
+        core = [node() for _ in range(draw(st.integers(3, 25)))]
+        pairs = st.tuples(st.sampled_from(core), st.sampled_from(core))
+        edges += draw(st.lists(pairs, min_size=len(core), max_size=3 * len(core)))
+        for _ in range(draw(st.integers(1, 30))):
+            edges.append((draw(st.sampled_from(core)), node()))
+    elif shape == "stars":
+        hubs = [node() for _ in range(draw(st.integers(1, 4)))]
+        for hub in hubs:
+            edges += [(hub, node()) for _ in range(draw(st.integers(2, 12)))]
+        edges += [(a, b) for a, b in zip(hubs, hubs[1:]) if draw(st.booleans())]
+    elif shape == "caterpillar":
+        spine = [node() for _ in range(draw(st.integers(2, 10)))]
+        edges += list(zip(spine, spine[1:]))
+        for vertebra in spine:
+            edges += [(vertebra, node()) for _ in range(draw(st.integers(0, 4)))]
+    else:
+        hubs = draw(st.integers(1, 3))
+        root = node()
+        for child in range(1, draw(st.integers(3, 40))):
+            top = min(child, hubs) if draw(st.booleans()) else child
+            edges.append((draw(st.integers(root, top - 1)), node()))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, count[0] - 1)), draw(st.integers(0, count[0] - 1))))
+    for _ in range(draw(st.integers(0, 2))):
+        edges.append((node(), node()))
+    for _ in range(draw(st.integers(0, 2))):
+        anchor, middle, tip = draw(st.integers(0, count[0] - 1)), node(), node()
+        edges += [(anchor, middle), (middle, tip)]
+    for _ in range(draw(st.integers(0, 2))):
+        node()
+    relabel = draw(st.permutations(range(count[0])))
+    return _adjacency(count[0], [(relabel[a], relabel[b]) for a, b in edges])
+
+
+def _hanging_leaves(adjacency):
+    """``{leaf: neighbour}`` for every degree-1 node whose neighbour has degree >= 2."""
+    return {
+        node: neighbours[0]
+        for node, neighbours in enumerate(adjacency)
+        if len(neighbours) == 1 and len(adjacency[neighbours[0]]) >= 2
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_leaf_heavy_graphs_match_the_reference(data):
+    adjacency = data.draw(leafy_graphs())
+    n = len(adjacency)
+    assert_kernel_matches(adjacency, range(n))
+    assert_kernel_matches(adjacency, data.draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjacency=leafy_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_leaf_heavy_graphs_onto_nonzero_totals_match_the_reference(adjacency, seed):
+    rng = random.Random(seed)
+    start = [rng.uniform(0.0, 50.0) for _ in adjacency]
+    assert_kernel_matches(adjacency, range(len(adjacency)), start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sources_without_a_leafs_neighbour_match_the_reference(data):
+    """A leaf whose neighbour is not a source of the call runs its own BFS."""
+    adjacency = data.draw(leafy_graphs())
+    neighbours = sorted(set(_hanging_leaves(adjacency).values()))
+    assume(neighbours)
+    left_out = data.draw(st.sets(st.sampled_from(neighbours), min_size=1))
+    sources = [node for node in range(len(adjacency)) if node not in left_out]
+    assert_kernel_matches(adjacency, data.draw(st.permutations(sources)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_repeated_leaf_sources_match_the_reference(data):
+    adjacency = data.draw(leafy_graphs())
+    hanging = _hanging_leaves(adjacency)
+    assume(hanging)
+    leaves = sorted(hanging)
+    repeats = data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=12))
+    repeats += data.draw(st.lists(st.sampled_from(sorted(set(hanging.values()))), max_size=4))
+    sources = list(range(len(adjacency))) + repeats
+    assert_kernel_matches(adjacency, data.draw(st.permutations(sources)))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_leaves_on_cyclic_cores_match_the_reference(seed):
+    """Dense random cores give fractional dependencies, so the order in
+    which a leaf's dependency at its neighbour is summed decides its bits.
+
+    Run alone with its neighbour, a leaf's dependency at the neighbour is
+    that node's whole total, so a last-bit slip cannot hide in a larger
+    sum.
+    """
+    rng = random.Random(seed)
+    core = rng.randint(20, 60)
+    edges = [(rng.randrange(core), rng.randrange(core)) for _ in range(3 * core)]
+    n = core + rng.randint(core // 2, 2 * core)
+    edges += [(rng.randrange(core), leaf) for leaf in range(core, n)]
+    relabel = rng.sample(range(n), n)
+    adjacency = _adjacency(n, [(relabel[a], relabel[b]) for a, b in edges])
+    assert_kernel_matches(adjacency, range(n))
+    for leaf, neighbour in _hanging_leaves(adjacency).items():
+        assert_kernel_matches(adjacency, [leaf, neighbour])
+
+
+def _bfs_blocks(monkeypatch):
+    """Record every block of sources the kernel runs a BFS for."""
+    blocks = []
+    block_dependencies = betweenness._block_dependencies
+
+    def spy(degree, indptr, indices, block, n):
+        blocks.append(block.tolist())
+        return block_dependencies(degree, indptr, indices, block, n)
+
+    monkeypatch.setattr(betweenness, "_block_dependencies", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("leaves", [2, 3, 40])
+@pytest.mark.parametrize("hub", ["first", "last"])
+def test_a_star_runs_one_bfs_source(leaves, hub, monkeypatch):
+    centre = 0 if hub == "first" else leaves
+    others = [node for node in range(leaves + 1) if node != centre]
+    adjacency = _adjacency(leaves + 1, [(centre, leaf) for leaf in others])
+    blocks = _bfs_blocks(monkeypatch)
+    assert_kernel_matches(adjacency, range(leaves + 1))
+    assert blocks == [[centre]]
+
+
+def test_without_hanging_leaves_every_source_runs_in_source_order(monkeypatch):
+    """A grid, two lone edges and two isolated nodes: no source folds, and
+    the BFS blocks are the source list cut into ``BLOCK_SOURCES``."""
+    adjacency = _grid(5, 7) + [[36], [35], [38], [37], [], []]
+    sources = list(range(len(adjacency)))
+    random.Random(7).shuffle(sources)
+    blocks = _bfs_blocks(monkeypatch)
+    assert_kernel_matches(adjacency, sources)
+    assert blocks == [
+        sources[start : start + BLOCK_SOURCES]
+        for start in range(0, len(sources), BLOCK_SOURCES)
+    ]
 
 
 # -- path counts beyond 2**53 --------------------------------------------------------

@@ -109,6 +109,27 @@ class TestSharedInterning:
         second = next(g.match(EX.s0, None, None))
         assert first is second
 
+    def test_committed_parsed_triples_are_pooled_with_canonical_terms(self):
+        """A commit of a parser's triples pools them over the dictionary's own terms.
+
+        Every triple below has terms equal to interned ones, but the parser
+        built them as other objects; ``_t(1)`` is new only as a combination.
+        """
+        kb = VersionedKnowledgeBase("canonical")
+        label = Triple(EX.s0, EX.label, Literal("zero", language="en"))
+        kb.commit(Graph([_t(0), _t(1), label]), version_id="v1")
+        recombined = [
+            Triple(EX.s0, EX.p, EX.o1),
+            Triple(EX.s1, EX.label, Literal("zero", language="en")),
+            Triple(EX.s2, EX.p, EX.o0),
+        ]
+        parsed = list(parse_graph(serialize(recombined)))
+        kb.commit_changes(added=parsed, deleted=[_t(1)], version_id="v2")
+        dictionary = kb.latest().graph.dictionary
+        for triple in kb.latest().graph.match(None, None, None):
+            for term in (triple.subject, triple.predicate, triple.object):
+                assert term is dictionary.term(dictionary.id_of(term))
+
 
 class TestDeltaChaining:
     def _chain(self) -> VersionedKnowledgeBase:

@@ -155,6 +155,12 @@ class TestInstances:
         assert university.instance_count(EX.Person) == 0
         assert university.instance_count(EX.Person, transitive=True) == 3
 
+    def test_transitive_count_counts_a_multi_typed_instance_once(self, university):
+        university.graph.add(Triple(EX.ada, RDF_TYPE, EX.Professor))
+        assert university.instance_count(EX.Person, transitive=True) == 3
+        assert university.instance_count(EX.Agent, transitive=True) == 3
+        assert university.instance_count(EX.Professor) == 2
+
     def test_total_instances(self, university):
         assert university.total_instances() == 5
 

@@ -1,6 +1,8 @@
 """Unit tests for the feedback store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.profiles.feedback import FeedbackEvent, FeedbackStore
 
@@ -81,3 +83,33 @@ class TestFeedbackStore:
         store = FeedbackStore(events)
         assert len(store) == 2
         assert list(store) == events
+
+
+events = st.builds(
+    FeedbackEvent,
+    user_id=st.sampled_from(["u1", "u2", "u3"]),
+    item_key=st.sampled_from(["m:a", "m:b", "m:c", "m:d"]),
+    rating=st.floats(0.0, 1.0),
+)
+
+
+def _scan_ratings_by_user(stream, user_id):
+    """Every item's mean rating for ``user_id``, in first-event order, by brute force."""
+    sums, counts = {}, {}
+    for event in stream:
+        if event.user_id == user_id:
+            sums[event.item_key] = sums.get(event.item_key, 0.0) + event.rating
+            counts[event.item_key] = counts.get(event.item_key, 0) + 1
+    return {item: sums[item] / counts[item] for item in sums}
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=st.lists(events, max_size=40), split=st.integers(0, 40))
+def test_ratings_by_user_equals_a_scan_of_every_event(stream, split):
+    store = FeedbackStore(stream[:split])
+    for event in stream[split:]:
+        store.add(event)
+    for user_id in ("u1", "u2", "u3", "nobody"):
+        expected = _scan_ratings_by_user(stream, user_id)
+        actual = store.ratings_by_user(user_id)
+        assert list(actual.items()) == list(expected.items())

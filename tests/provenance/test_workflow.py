@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.provenance.model import Agent, RelationKind
+from repro.provenance.model import Activity, Agent, Entity, RelationKind, fresh_id
 from repro.provenance.store import ProvenanceStore
 from repro.provenance.workflow import Workflow
 
@@ -64,6 +64,18 @@ class TestCaptureDisabled:
     def test_explain_without_store(self):
         wf = Workflow("wf")
         assert "disabled" in wf.explain("anything")[0]
+
+    def test_uncaptured_runs_mint_no_ids(self):
+        wf = Workflow("wf")
+        before = fresh_id("probe")
+        first = wf.run_task("t", lambda: 1)
+        second = wf.run_task("u", lambda: 2, inputs=[first.output], args=())
+        after = fresh_id("probe")
+        assert int(after.rsplit("-", 1)[1]) == int(before.rsplit("-", 1)[1]) + 1
+        assert (first.value, second.value) == (1, 2)
+        # The handles stay usable objects, so outputs can feed later tasks.
+        assert isinstance(second.output, Entity) and second.output.entity_id
+        assert isinstance(second.activity, Activity) and second.activity.activity_id
 
 
 class TestExplain:
