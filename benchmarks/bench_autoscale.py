@@ -1,7 +1,8 @@
 """Elastic-replica soak: autoscale churn under a Zipf-skewed hammer.
 
-The replicated serving bench (``bench_service.py --replicas``) proves a
-*static* replica fleet multiplies hot-tenant read throughput.  This soak
+The replicated serving bench (``bench_service.py``'s
+``service_replicated`` topology) proves a *static* replica fleet
+multiplies hot-tenant read throughput.  This soak
 proves the *elastic* plane: replicas join warm (seeded from the owner's
 already-computed measure artefacts), leave, die and respawn **while the
 Zipf hammer is running**, and none of it costs correctness::
@@ -31,62 +32,70 @@ vs seeded from decoded artefact frames, and the first-request latencies
 are compared (plus bit-identity of decoded artefacts against a cold
 recompute).
 
-The results merge into the report as an ``"autoscale"`` section, gated
-by ``check_regression.py``: bit-identity flags, zero lost requests, zero
-leaked shared-memory segments, the warm/cold first-request ratio, churn
-actually happening, and (on multi-core boxes) the hot-tenant p99
-trajectory staying within budget of the pre-join baseline.
+The results merge into the report as an ``"autoscale"`` section
+(``bench_report.py``), which ``check_regression.py`` gates: bit-identity
+invariants, zero lost requests, zero leaked shared-memory segments,
+churn actually happening, the warm/cold first-request ratio (full runs)
+and the worst churn-phase hot-tenant p99 against the pre-join baseline
+(multi-core runs).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_service import (  # noqa: E402
-    QUICK_CONFIG,
-    WORLD_CONFIG,
-    WORLD_SEED,
-    Schedule,
-    _percentile,
-    _tenant_names,
-    _zipf_schedule,
-    parse_skew,
-)
-
-from repro._version import __version__  # noqa: E402
-from repro.io.storage import package_to_dict  # noqa: E402
-from repro.kb import wire  # noqa: E402
-from repro.kb.namespaces import RDF_TYPE  # noqa: E402
-from repro.kb.triples import Triple  # noqa: E402
-from repro.kb.terms import IRI  # noqa: E402
-from repro.recommender.engine import EngineConfig  # noqa: E402
-from repro.service import (  # noqa: E402
+from repro._version import __version__
+from repro.kb import wire
+from repro.kb.namespaces import RDF_TYPE
+from repro.kb.terms import IRI
+from repro.kb.triples import Triple
+from repro.recommender.engine import EngineConfig
+from repro.service import (
     AutoscaleController,
     RecommendationService,
     ServiceConfig,
     ShardSupervisor,
 )
-from repro.service.replica import (  # noqa: E402
+from repro.service.replica import (
     collect_artefacts,
     create_shared_payload,
     decode_shared_payload,
     destroy_segment,
     encode_tenant_artefacts,
 )
-from repro.synthetic.world import generate_world  # noqa: E402
+from repro.synthetic.world import generate_world
 
-#: The soak's hot-tenant p99 budget: worst churn-phase p99 vs baseline.
-P99_BUDGET_RATIO = 1.5
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_report import merge_section  # noqa: E402
+from bench_service import (  # noqa: E402
+    K,
+    QUICK_CONFIG,
+    WORKERS,
+    WORLD_CONFIG,
+    WORLD_SEED,
+    Schedule,
+    Sample,
+    hammer,
+    in_process,
+    percentile,
+    plan,
+    tenant_names,
+    zipf_schedule,
+)
+
+#: Must leave the hot tenant over the controller's hot-share trigger.
+ZIPF_EXPONENT = 1.3
+CLIENTS = 8
+REQUESTS_PER_CLIENT = 40  # per phase
+REPLICAS_MIN = 0
+REPLICAS_MAX = 2
 
 
 def _shm_segments() -> set:
@@ -96,71 +105,15 @@ def _shm_segments() -> set:
     return {p.name for p in shm.iterdir() if p.name.startswith("psm_")}
 
 
-# -- per-tenant hammer -------------------------------------------------------------
-
-
-def _tenant_hammer(
-    recommend: Callable[[str, str], Dict],
-    expected: Dict[Tuple[str, str], Dict],
-    schedule: Schedule,
-    clients: int,
-    requests_per_client: int,
-) -> Tuple[Dict[str, List[float]], int, int]:
-    """Closed-loop hammer recording latency per tenant, verifying per request.
-
-    Every response is compared against ``expected`` (the single-process
-    mirror's replay for this phase).  Returns ``(latencies_by_tenant,
-    completed, mismatches)``; any transport error is raised -- a lost
-    request fails the soak.
-    """
-    latencies: List[List[Tuple[str, float]]] = [[] for _ in range(clients)]
-    mismatches = [0] * clients
-    errors: List[BaseException] = []
-    barrier = threading.Barrier(clients)
-
-    def client_loop(index: int) -> None:
-        mine = latencies[index]
-        try:
-            barrier.wait()
-            for i in range(requests_per_client):
-                tenant, user_id = schedule(index, i)
-                begin = time.perf_counter()
-                response = recommend(tenant, user_id)
-                mine.append((tenant, time.perf_counter() - begin))
-                if response != expected[(tenant, user_id)]:
-                    mismatches[index] += 1
-        except BaseException as exc:  # surfaced as a failed soak
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [
-        threading.Thread(target=client_loop, args=(i,), daemon=True)
-        for i in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    by_tenant: Dict[str, List[float]] = {}
-    completed = 0
-    for per_client in latencies:
-        for tenant, latency in per_client:
-            by_tenant.setdefault(tenant, []).append(latency)
-            completed += 1
-    return by_tenant, completed, sum(mismatches)
-
-
-def _phase_metrics(by_tenant: Dict[str, List[float]], hot: str) -> Dict[str, float]:
-    hot_samples = sorted(by_tenant.get(hot, []))
-    all_samples = sorted(s for samples in by_tenant.values() for s in samples)
+def _phase_metrics(samples: Sequence[Sample], hot: str) -> Dict[str, float]:
+    hot_samples = sorted(s.latency_s for s in samples if s.tenant == hot)
+    all_samples = sorted(s.latency_s for s in samples)
     return {
         "requests": len(all_samples),
         "hot_requests": len(hot_samples),
-        "hot_p50_ms": _percentile(hot_samples, 0.50) * 1e3 if hot_samples else None,
-        "hot_p99_ms": _percentile(hot_samples, 0.99) * 1e3 if hot_samples else None,
-        "p99_ms": _percentile(all_samples, 0.99) * 1e3 if all_samples else None,
+        "hot_p50_ms": percentile(hot_samples, 0.50) * 1e3 if hot_samples else None,
+        "hot_p99_ms": percentile(hot_samples, 0.99) * 1e3 if hot_samples else None,
+        "p99_ms": percentile(all_samples, 0.99) * 1e3 if all_samples else None,
     }
 
 
@@ -241,31 +194,21 @@ def _measure_warm_start(
 # -- the soak ----------------------------------------------------------------------
 
 
-def run_autoscale(
-    output: Path,
-    skew: str = "zipf:1.3",
-    clients: int = 8,
-    requests_per_client: int = 40,
-    workers: int = 4,
-    replicas_min: int = 0,
-    replicas_max: int = 2,
-    k: int = 5,
-    quick: bool = False,
-) -> Dict:
-    exponent = parse_skew(skew)
+def run_autoscale(output: Path, quick: bool = False) -> Dict:
+    """Run the soak; merge and return the ``autoscale`` section."""
     config = QUICK_CONFIG if quick else WORLD_CONFIG
     per_shard = 2 if quick else 4
-    warm_trials = 3
-    if quick:
-        clients = min(clients, 4)
-        requests_per_client = min(requests_per_client, 12)
-        warm_trials = 2
+    clients, requests_per_client, warm_trials = (
+        (min(CLIENTS, 4), min(REQUESTS_PER_CLIENT, 12), 2) if quick
+        else (CLIENTS, REQUESTS_PER_CLIENT, 3)
+    )
+    skew = f"zipf:{ZIPF_EXPONENT}"
 
     world = generate_world(seed=WORLD_SEED, config=config)
     kb_bytes = wire.encode_kb(world.kb)
-    names = _tenant_names(1, per_shard)
+    names = tenant_names(1, per_shard)
     user_ids = [user.user_id for user in world.users]
-    schedule, hot_tenant, hot_share = _zipf_schedule(names, user_ids, exponent)
+    schedule, hot_tenant, hot_share = zipf_schedule(names, user_ids, ZIPF_EXPONENT)
     cool_names = [name for name in names if name != hot_tenant]
 
     def cool_schedule(client_index: int, i: int) -> Tuple[str, str]:
@@ -274,11 +217,11 @@ def run_autoscale(
         step = client_index * 131 + i
         return cool_names[step % len(cool_names)], user_ids[step % len(user_ids)]
 
-    service_config = ServiceConfig(k=k, workers=workers, engine=EngineConfig(k=k))
+    service_config = ServiceConfig(k=K, workers=WORKERS, engine=EngineConfig(k=K))
     before_segments = _shm_segments()
 
     print(
-        f"autoscale soak: 1 shard, replicas [{replicas_min}, {replicas_max}], "
+        f"autoscale soak: 1 shard, replicas [{REPLICAS_MIN}, {REPLICAS_MAX}], "
         f"{len(names)} tenants, skew {skew} (hot tenant {hot_tenant!r} gets "
         f"{hot_share:.0%} of requests), {clients} clients x "
         f"{requests_per_client} req/phase, cpu_count={os.cpu_count()}"
@@ -305,8 +248,8 @@ def run_autoscale(
 
     controller = AutoscaleController(
         supervisor,
-        min_replicas=replicas_min,
-        max_replicas=replicas_max,
+        min_replicas=REPLICAS_MIN,
+        max_replicas=REPLICAS_MAX,
         interval_s=0.25,
     )
     events = {"added": 0, "retired": 0, "respawned": 0, "killed": 0}
@@ -338,26 +281,23 @@ def run_autoscale(
     completed = 0
     expected_total = 0
 
-    def expected_responses() -> Dict[Tuple[str, str], Dict]:
-        return {
-            (name, user_id): package_to_dict(mirror.recommend(name, user_id))
-            for name in names
-            for user_id in user_ids
-        }
+    mirror_send = in_process(mirror, service_config.request_timeout_s)
+    send = in_process(supervisor, service_config.request_timeout_s)
 
     def run_phase(label: str, phase_schedule: Schedule) -> Dict:
         nonlocal mismatches, completed, expected_total
-        by_tenant, done, wrong = _tenant_hammer(
-            supervisor.recommend,
-            expected_responses(),
-            phase_schedule,
-            clients,
-            requests_per_client,
+        expected = {
+            (name, user_id): mirror_send(name, user_id)
+            for name in names
+            for user_id in user_ids
+        }
+        samples, _ = hammer(
+            lambda index: send, plan(phase_schedule, clients, requests_per_client)
         )
-        mismatches += wrong
-        completed += done
+        mismatches += sum(s.body != expected[(s.tenant, s.user)] for s in samples)
+        completed += len(samples)
         expected_total += clients * requests_per_client
-        metrics = _phase_metrics(by_tenant, hot_tenant)
+        metrics = _phase_metrics(samples, hot_tenant)
         metrics["replicas"] = supervisor.replica_count(hot_tenant)
         phases[label] = metrics
         hot_p99 = metrics["hot_p99_ms"]
@@ -420,7 +360,7 @@ def run_autoscale(
         # cool-down hammer finished between intervals.
         deadline = time.monotonic() + 10.0
         while (
-            supervisor.replica_count(hot_tenant) > replicas_min
+            supervisor.replica_count(hot_tenant) > REPLICAS_MIN
             and time.monotonic() < deadline
         ):
             time.sleep(controller.interval_s)
@@ -472,10 +412,10 @@ def run_autoscale(
             "hot_share": hot_share,
             "clients": clients,
             "requests_per_client": requests_per_client,
-            "workers": workers,
-            "replicas_min": replicas_min,
-            "replicas_max": replicas_max,
-            "k": k,
+            "workers": WORKERS,
+            "replicas_min": REPLICAS_MIN,
+            "replicas_max": REPLICAS_MAX,
+            "k": K,
             "quick": quick,
         },
         "phases": phases,
@@ -483,77 +423,47 @@ def run_autoscale(
             "baseline_ms": baseline_p99,
             "worst_churn_ms": worst_churn_p99,
             "ratio": p99_ratio,
-            "budget_ratio": P99_BUDGET_RATIO,
         },
         "warm_start": {
             key: value
             for key, value in warm_start.items()
             if key != "artefacts_bit_identical"
         },
-        "artefacts_bit_identical": warm_start["artefacts_bit_identical"],
-        "responses_bit_identical": mismatches == 0,
-        "lost_requests": lost,
         "replica_events": replica_events,
-        "shm_leaked": shm_leaked,
         "controller_errors": controller.errors,
+        "invariants": {
+            "responses_bit_identical": mismatches == 0,
+            "artefacts_bit_identical": warm_start["artefacts_bit_identical"],
+        },
+        "numbers": {
+            "lost_requests": lost,
+            "shm_leaked": shm_leaked,
+            **{f"replicas_{kind}": count for kind, count in replica_events.items()},
+            "warm_start_ratio": warm_start["ratio"],
+            "hot_p99_ratio": p99_ratio,
+        },
     }
-    _merge_section(output, "autoscale", section)
+    merge_section(output, "autoscale", section)
     return section
 
 
-def _merge_section(output: Path, key: str, section: Dict) -> None:
-    report: Dict = {}
-    if output.exists():
-        report = json.loads(output.read_text())
-    report[key] = section
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"merged {key} section into {output}")
-
-
-def main(argv: List[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "-o", "--output", type=Path, default=Path("BENCH_substrate.json"),
         help="report to merge the section into (default: BENCH_substrate.json)",
     )
     parser.add_argument(
-        "--skew", default="zipf:1.3",
-        help="tenant mix, as zipf:A (default zipf:1.3; must leave the hot "
-             "tenant over the controller's hot-share trigger)",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=8, help="concurrent closed-loop clients"
-    )
-    parser.add_argument(
-        "--requests", type=int, default=40, help="requests per client per phase"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="service worker threads per process"
-    )
-    parser.add_argument(
-        "--replicas-min", type=int, default=0, help="autoscale floor"
-    )
-    parser.add_argument(
-        "--replicas-max", type=int, default=2, help="autoscale ceiling"
-    )
-    parser.add_argument("-k", type=int, default=5, help="package size")
-    parser.add_argument(
         "--quick", action="store_true",
         help="smoke mode: shrunk workload, few requests (not comparable to full runs)",
     )
-    args = parser.parse_args(argv)
-    run_autoscale(
-        args.output,
-        skew=args.skew,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        workers=args.workers,
-        replicas_min=args.replicas_min,
-        replicas_max=args.replicas_max,
-        k=args.k,
-        quick=args.quick,
-    )
-    return 0
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    section = run_autoscale(args.output, quick=args.quick)
+    return 0 if all(section["invariants"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -33,23 +33,22 @@ materialise the head snapshot), and asserts
   by replaying the same deterministic deltas in memory, produces
   byte-identical recommendation packages to the recovered chain.
 
-The results merge into the report as a ``"durability"`` section (gated
-by ``check_regression.py``: the three flags must hold and the worst
-recovery time must stay under its budget)::
+The results merge into the report as a ``"durability"`` section
+(``bench_report.py``), which ``check_regression.py`` gates::
 
     "durability": {
-      "meta": {...cycles, thresholds, quick...},
-      "zero_loss": true, "log_bounded": true,
-      "responses_bit_identical": true,
-      "recovery": {"mean_s": ..., "max_s": ..., "budget_s": 10.0},
+      "meta": {...thresholds, quick...},
+      "recovery": {"mean_s": ..., "max_s": ...},
       ...
+      "invariants": {"zero_loss": true, "log_bounded": true,
+                     "responses_bit_identical": true},
+      "numbers": {"cycles": 24, "worst_recovery_s": ...}
     }
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import signal
@@ -69,11 +68,10 @@ from repro.kb.triples import Triple
 from repro.recommender.engine import EngineConfig, RecommenderEngine
 from repro.synthetic.world import generate_world
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_report import merge_section  # noqa: E402
+
 WORLD_SEED = 1717
-#: Worst acceptable single reboot (open + load + head materialisation).
-#: A rolled-up store recovers in well under a second even on a loaded CI
-#: box; the budget is an order-of-magnitude backstop, not a microbench.
-RECOVERY_BUDGET_S = 10.0
 
 #: Injected crash points: (phase, syscall site, before/after the call).
 _APPEND_SITES = ("write", "fsync")
@@ -258,19 +256,13 @@ def _recommendation(kb, user) -> Dict:
     return package_to_dict(engine.recommend(user))
 
 
-def run(
-    output: Path,
-    quick: bool = False,
-    rollup_records: int = 0,
-    budget_s: float = RECOVERY_BUDGET_S,
-    work_dir: Optional[Path] = None,
-) -> Dict:
+def run(output: Path, quick: bool = False, work_dir: Optional[Path] = None) -> Dict:
     """Run the soak; merge and return the ``durability`` section."""
     import tempfile
 
     crashes = QUICK_CRASHES if quick else FULL_CRASHES
     sigkills = 2 if quick else len(crashes)
-    rollup_records = rollup_records or (4 if quick else 6)
+    rollup_records = 4 if quick else 6  # the roll-up threshold, in log records
     commits_per_kill = max(rollup_records + 2, 6)
     # Interleave: crash, kill, crash, kill, ... so injected crashes land
     # on stores in every post-kill state, not only on fresh ones.
@@ -384,42 +376,29 @@ def run(
             "commits_per_kill_cycle": commits_per_kill,
             "cpu_count": os.cpu_count(),
         },
-        "cycles": len(plan),
         "injected_crashes": len(crashes),
         "sigkill_cycles": sigkills,
-        "zero_loss": zero_loss,
-        "log_bounded": log_bounded,
-        "responses_bit_identical": bit_identical,
         "acked_commits": len(acked),
         "recovered_versions": final_versions,
         "rollups_observed": rollups_observed,
-        "recovery": {
-            "mean_s": statistics.mean(recoveries),
-            "max_s": max(recoveries),
-            "budget_s": budget_s,
+        "recovery": {"mean_s": statistics.mean(recoveries), "max_s": max(recoveries)},
+        "invariants": {
+            "zero_loss": zero_loss,
+            "log_bounded": log_bounded,
+            "responses_bit_identical": bit_identical,
         },
+        "numbers": {"cycles": len(plan), "worst_recovery_s": max(recoveries)},
     }
-    _merge_section(output, "durability", section)
-    ok = zero_loss and log_bounded and bit_identical
+    merge_section(output, "durability", section)
     print(
         f"durability soak: {len(plan)} kill/reboot cycles, "
         f"{len(acked)} acked commits, {rollups_observed} roll-ups observed, "
-        f"worst recovery {max(recoveries) * 1e3:.1f} ms -- "
-        f"{'ok' if ok else 'FAILED'}"
+        f"worst recovery {max(recoveries) * 1e3:.1f} ms"
     )
     return section
 
 
-def _merge_section(output: Path, key: str, section: Dict) -> None:
-    report: Dict = {}
-    if output.exists():
-        report = json.loads(output.read_text())
-    report[key] = section
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"merged {key} section into {output}")
-
-
-def main(argv: List[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "-o", "--output", type=Path, default=Path("BENCH_substrate.json"),
@@ -430,43 +409,27 @@ def main(argv: List[str] | None = None) -> int:
         help="CI smoke mode: 6 cycles on a shrunk world instead of 24",
     )
     parser.add_argument(
-        "--rollup-records", type=int, default=0,
-        help="roll-up threshold in records (default: 4 quick / 6 full)",
-    )
-    parser.add_argument(
-        "--budget-s", type=float, default=RECOVERY_BUDGET_S,
-        help=f"recovery-time budget recorded in the section "
-             f"(default: {RECOVERY_BUDGET_S})",
-    )
-    parser.add_argument(
         "--work-dir", type=Path, default=None,
         help="run the soak in this directory instead of a fresh tmpdir",
     )
     # Internal: the kill target re-invokes this script with --child.
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--rollup-records", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--dir", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--ack", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--initial", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--rollup-bytes", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument("--max-commits", type=int, default=500, help=argparse.SUPPRESS)
     parser.add_argument("--crash", default=None, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.child:
         return run_child(args)
-    section = run(
-        args.output,
-        quick=args.quick,
-        rollup_records=args.rollup_records,
-        budget_s=args.budget_s,
-        work_dir=args.work_dir,
-    )
-    ok = (
-        section["zero_loss"]
-        and section["log_bounded"]
-        and section["responses_bit_identical"]
-        and section["recovery"]["max_s"] <= section["recovery"]["budget_s"]
-    )
-    return 0 if ok else 1
+    section = run(args.output, quick=args.quick, work_dir=args.work_dir)
+    return 0 if all(section["invariants"].values()) else 1
 
 
 if __name__ == "__main__":

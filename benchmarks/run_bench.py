@@ -1,41 +1,44 @@
-"""Standalone substrate benchmark harness.
+"""Substrate benchmark harness: the hot paths every experiment is built on.
 
-Runs the substrate hot-path benchmarks (the same workloads as
-``bench_substrate.py``, without the pytest-benchmark dependency) and writes
-a machine-readable ``BENCH_substrate.json`` with per-benchmark mean/stddev
-timings, so successive PRs have a perf trajectory to compare against.
+Times pattern matching, delta computation, schema indexing, Brandes
+betweenness, the measure catalogue, the N-Triples codec, graph copies,
+group scoring, a cold first evaluation and both cold-boot layouts, and
+merges a ``substrate`` section into the report (``bench_report.py``)::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/run_bench.py                      # write BENCH_substrate.json
-    PYTHONPATH=src python benchmarks/run_bench.py -o out.json          # custom output path
-    PYTHONPATH=src python benchmarks/run_bench.py --baseline old.json  # embed speedup factors
-    PYTHONPATH=src python benchmarks/run_bench.py --only graph_pattern_match
+    PYTHONPATH=src python benchmarks/run_bench.py                      # merge into BENCH_substrate.json
+    PYTHONPATH=src python benchmarks/run_bench.py --baseline BENCH_substrate.json  # record speedup factors
+    PYTHONPATH=src python benchmarks/run_bench.py --only full_measure_catalog cold_first_evaluation
     PYTHONPATH=src python benchmarks/run_bench.py --quick -o /tmp/q.json  # smoke mode
+
+A run replaces the section's ``meta`` and the benchmark entries it ran,
+and keeps every other entry and every other section, so ``--only``
+re-records a few benchmarks in the committed report in place.
 
 ``--quick`` shrinks the workload and the round count so the whole suite
 finishes in a few seconds; it exists so CI can smoke-test that every
-benchmark still runs (see ``tests/test_benchmarks.py``), not to produce
-comparable numbers (quick reports are marked ``"quick": true`` in their
-meta and should not be used as baselines).
+benchmark still runs, not to produce comparable numbers (quick runs are
+marked ``"quick": true`` in their meta and should not be used as
+baselines).
 
-Each benchmark is warmed up for ``--warmup`` untimed rounds, then timed
-for a fixed number of rounds (``--rounds``) with ``time.perf_counter``.
+Each benchmark is warmed up for :data:`WARMUP` untimed rounds, then timed
+for :data:`ROUNDS` rounds with ``time.perf_counter``.
 Warmup matters: the first few rounds pay allocator growth, lazy imports
 and -- worst -- collector pauses triggered by garbage the *previous*
 benchmark left behind (the committed report once showed ``graph_copy``
 with ``max_s`` ~11.3 ms against a ~0.99 ms mean from exactly that).  The
 harness therefore runs a full ``gc.collect()`` after warmup and disables
 the cyclic collector for the timed rounds (re-enabled afterwards), so
-``max_s`` measures the benchmark, not its neighbours' garbage.  The JSON
-layout is::
+``max_s`` measures the benchmark, not its neighbours' garbage.  The
+section is::
 
-    {
+    "substrate": {
       "meta": {...workload + python info...},
       "benchmarks": {
         "<name>": {"mean_s": ..., "stddev_s": ..., "min_s": ..., "rounds": N,
                    "baseline_mean_s": ..., "speedup": ...}   # with --baseline
-      }
+      },
+      "invariants": {},
+      "numbers": {"cold_boot_speedup": ...}   # cold_boot_nt / cold_boot_binary mean
     }
 """
 
@@ -67,7 +70,10 @@ from repro.synthetic.config import EvolutionConfig, SchemaConfig, WorldConfig
 from repro.synthetic.schema_gen import SYN
 from repro.synthetic.world import generate_world
 
-#: The canonical substrate workload (kept identical to bench_substrate.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_report import load_report, merge_section  # noqa: E402
+
+#: The canonical workload, shared with bench_service.py.
 WORLD_SEED = 4242
 WORLD_CONFIG = WorldConfig(
     schema=SchemaConfig(n_classes=120, n_properties=80),
@@ -118,6 +124,10 @@ QUICK_COLD_BOOT_CONFIG = WorldConfig(
 COLD_BOOT_MAX_ROUNDS = 8
 COLD_BOOT_MAX_WARMUP = 2
 
+#: Timed and untimed rounds per benchmark (a quick run clamps them).
+ROUNDS = 30
+WARMUP = 5
+
 Bench = Tuple[str, Callable[[], object]]
 
 
@@ -129,8 +139,8 @@ def _build_benchmarks(
     versions = list(world.kb)
     old, new = versions[-2].graph, versions[-1].graph
     graph = new
-    # Deterministic predicate sample (value-sorted, unlike the set-ordered
-    # pytest variant) so runs are comparable across processes.
+    # Deterministic predicate sample (value-sorted, not set-ordered) so
+    # runs are comparable across processes.
     predicates = sorted({t.predicate for t in graph}, key=lambda p: p.value)[:10]
 
     def graph_pattern_match() -> int:
@@ -297,23 +307,19 @@ def _time_one(fn: Callable[[], object], rounds: int, warmup: int) -> Dict[str, f
 
 def run(
     output: Path,
-    rounds: int = 30,
-    warmup: int = 5,
     baseline: Path | None = None,
     only: List[str] | None = None,
     quick: bool = False,
 ) -> Dict:
-    """Run the benchmark suite and write the JSON report; returns the report.
+    """Run the benchmark suite and merge its section into ``output``; returns it.
 
     ``quick=True`` swaps in the shrunk workload and clamps rounds/warmup so
     the whole suite smoke-runs in seconds (numbers not comparable to full
-    runs; the report's meta carries ``"quick": true``).
+    runs; the section's meta carries ``"quick": true``).
     """
     config = QUICK_CONFIG if quick else WORLD_CONFIG
     cold_boot_config = QUICK_COLD_BOOT_CONFIG if quick else COLD_BOOT_CONFIG
-    if quick:
-        rounds = min(rounds, 3)
-        warmup = min(warmup, 1)
+    rounds, warmup = (min(ROUNDS, 3), min(WARMUP, 1)) if quick else (ROUNDS, WARMUP)
     benches = _build_benchmarks(config, cold_boot_config)
     if only:
         unknown = set(only) - {name for name, _ in benches}
@@ -323,15 +329,15 @@ def run(
 
     baseline_data: Dict = {}
     if baseline is not None:
-        baseline_data = json.loads(baseline.read_text()).get("benchmarks", {})
+        baseline_data = json.loads(baseline.read_text()).get("substrate", {}).get("benchmarks", {})
 
     results: Dict[str, Dict] = {}
     for name, fn in benches:
         if name.startswith("cold_boot"):
             bench_rounds = min(rounds, COLD_BOOT_MAX_ROUNDS)
-            # At least one untimed round even under --warmup 0: the first
-            # call generates and saves the boot worlds, and that setup
-            # cost must never land in a timed sample.
+            # At least one untimed round: the first call generates and
+            # saves the boot worlds, and that setup cost must never land
+            # in a timed sample.
             bench_warmup = max(1, min(warmup, COLD_BOOT_MAX_WARMUP))
         else:
             bench_rounds, bench_warmup = rounds, warmup
@@ -345,7 +351,16 @@ def run(
         print(f"{name:32s} mean {timing['mean_s'] * 1e3:9.3f} ms  "
               f"stddev {timing['stddev_s'] * 1e3:7.3f} ms{speedup}")
 
-    report = {
+    benchmarks = {
+        **load_report(output).get("substrate", {}).get("benchmarks", {}),
+        **results,
+    }
+    numbers = {}
+    if "cold_boot_nt" in benchmarks and "cold_boot_binary" in benchmarks:
+        numbers["cold_boot_speedup"] = (
+            benchmarks["cold_boot_nt"]["mean_s"] / benchmarks["cold_boot_binary"]["mean_s"]
+        )
+    section = {
         "meta": {
             "repro_version": __version__,
             "python": platform.python_version(),
@@ -366,21 +381,20 @@ def run(
                 "max_rounds": COLD_BOOT_MAX_ROUNDS,
             },
         },
-        "benchmarks": results,
+        "benchmarks": benchmarks,
+        "invariants": {},
+        "numbers": numbers,
     }
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}")
-    return report
+    merge_section(output, "substrate", section)
+    return section
 
 
-def main(argv: List[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "-o", "--output", type=Path, default=Path("BENCH_substrate.json"),
-        help="where to write the JSON report (default: BENCH_substrate.json)",
+        help="report to merge the substrate section into (default: BENCH_substrate.json)",
     )
-    parser.add_argument("--rounds", type=int, default=30, help="timed rounds per benchmark")
-    parser.add_argument("--warmup", type=int, default=5, help="untimed warmup rounds")
     parser.add_argument(
         "--baseline", type=Path, default=None,
         help="previous report to compute speedup factors against",
@@ -393,9 +407,12 @@ def main(argv: List[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smoke mode: shrunk workload, <=3 rounds (not comparable to full runs)",
     )
-    args = parser.parse_args(argv)
-    run(args.output, rounds=args.rounds, warmup=args.warmup,
-        baseline=args.baseline, only=args.only, quick=args.quick)
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    run(args.output, baseline=args.baseline, only=args.only, quick=args.quick)
     return 0
 
 

@@ -1,4 +1,9 @@
-"""Unit tests for the benchmark regression gate (benchmarks/check_regression.py)."""
+"""Unit tests for the benchmark regression gate (benchmarks/check_regression.py).
+
+The gate is one rule over one bound table, so the tests run over the
+table itself: every bound row, every required invariant and every
+tolerance entry gets a passing, a violating and a missing value.
+"""
 
 import importlib.util
 import json
@@ -8,578 +13,249 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = ROOT / "BENCH_substrate.json"
 
 
-@pytest.fixture(scope="module")
-def gate():
+def _load_gate():
     spec = importlib.util.spec_from_file_location(
         "check_regression", ROOT / "benchmarks" / "check_regression.py"
     )
     module = importlib.util.module_from_spec(spec)
-    # Registered before exec: the module's dataclass resolves its string
+    # Registered before exec: the module's dataclasses resolve their string
     # annotations through sys.modules[cls.__module__].
     sys.modules["check_regression"] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        sys.modules.pop("check_regression", None)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _report(**means_ms):
+gate = _load_gate()
+
+ROWS = list(gate.BOUNDS)
+CONDITIONAL_ROWS = [row for row in ROWS if row.when]
+INVARIANTS = [(section, name) for section, names in gate.INVARIANTS.items() for name in names]
+SECTIONS = sorted({row.section for row in ROWS} | set(gate.INVARIANTS))
+
+
+def _row_id(row):
+    return f"{row.section}.{row.number}"
+
+
+def _invariant_id(case):
+    return ".".join(case)
+
+
+def _healthy_section(name):
+    """A full multi-core run of ``name`` with every claim at its limit."""
     return {
-        "benchmarks": {
-            name: {"mean_s": mean_ms / 1e3} for name, mean_ms in means_ms.items()
-        }
+        "meta": {"quick": False, "cpu_count": 4},
+        "invariants": {invariant: True for invariant in gate.INVARIANTS.get(name, ())},
+        "numbers": {row.number: row.limit for row in ROWS if row.section == name},
     }
 
 
-def _service_report(**levels):
-    """{"clients_8": (p50_ms, p99_ms), ...} -> a bench_service-shaped report."""
-    return {
-        "service": {
-            "meta": {},
-            "levels": {
-                name: {"p50_ms": p50, "p99_ms": p99}
-                for name, (p50, p99) in levels.items()
-            },
-        }
-    }
+def _healthy_report():
+    return {name: _healthy_section(name) for name in SECTIONS}
 
 
-class TestCompareReports:
-    def test_all_within_tolerance_pass(self, gate):
-        verdicts = gate.compare_reports(
-            _report(a=10.0, b=5.0), _report(a=12.0, b=9.0), tolerance=2.0
-        )
-        assert all(v.ok for v in verdicts)
+def _violating(row):
+    return row.limit - 1 if row.op == ">=" else row.limit + 1
 
-    def test_regression_beyond_tolerance_fails(self, gate):
-        verdicts = gate.compare_reports(
-            _report(slow=10.0), _report(slow=25.0), tolerance=2.0
-        )
-        (verdict,) = verdicts
+
+def _verdict(section_name, section, name):
+    by_name = {v.name: v for v in gate.check_section("fresh", section_name, section)}
+    return by_name[f"fresh.{section_name}.{name}"]
+
+
+def _main(tmp_path, baseline, fresh):
+    paths = []
+    for label, report in (("baseline", baseline), ("fresh", fresh)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(report))
+        paths.append(str(path))
+    return gate.main(["--baseline", paths[0], "--fresh", paths[1]])
+
+
+class TestBounds:
+    @pytest.mark.parametrize("row", ROWS, ids=_row_id)
+    def test_the_limit_itself_passes(self, row):
+        assert _verdict(row.section, _healthy_section(row.section), row.number).ok
+
+    @pytest.mark.parametrize("row", ROWS, ids=_row_id)
+    def test_a_violating_value_fails(self, row):
+        section = _healthy_section(row.section)
+        section["numbers"][row.number] = _violating(row)
+        verdict = _verdict(row.section, section, row.number)
         assert not verdict.ok
-        assert verdict.ratio == pytest.approx(2.5)
+        assert f"not {row.op}" in verdict.note
 
-    def test_missing_benchmark_fails(self, gate):
-        verdicts = gate.compare_reports(_report(gone=10.0), _report(), tolerance=2.0)
-        (verdict,) = verdicts
+    @pytest.mark.parametrize("row", ROWS, ids=_row_id)
+    def test_a_missing_value_fails(self, row):
+        section = _healthy_section(row.section)
+        del section["numbers"][row.number]
+        verdict = _verdict(row.section, section, row.number)
         assert not verdict.ok
         assert "missing" in verdict.note
 
-    def test_new_benchmark_passes(self, gate):
-        verdicts = gate.compare_reports(_report(), _report(new=10.0), tolerance=2.0)
-        (verdict,) = verdicts
+    @pytest.mark.parametrize("row", CONDITIONAL_ROWS, ids=_row_id)
+    def test_an_unmet_condition_passes_with_its_note(self, row):
+        section = _healthy_section(row.section)
+        section["numbers"][row.number] = _violating(row)
+        section["meta"] = {"quick": True, "cpu_count": 1}
+        verdict = _verdict(row.section, section, row.number)
+        assert verdict.ok
+        assert "not checked" in verdict.note
+        for needs, _ in row.when:
+            assert needs in verdict.note
+
+    @pytest.mark.parametrize("row", ROWS, ids=_row_id)
+    def test_a_violation_makes_the_gate_exit_one(self, row, tmp_path, capsys):
+        fresh = _healthy_report()
+        fresh[row.section]["numbers"][row.number] = _violating(row)
+        assert _main(tmp_path, _healthy_report(), fresh) == 1
+        assert f"fresh.{row.section}.{row.number}" in capsys.readouterr().err
+
+    def test_the_parent_limits(self):
+        limits = {(row.section, row.number): (row.op, row.limit) for row in ROWS}
+        assert limits[("substrate", "cold_boot_speedup")] == (">=", 1.3)
+        assert limits[("service_replicated", "top_speedup")] == (">=", 1.5)
+        assert limits[("service_http", "idle_connections")] == (">=", 240)
+        assert limits[("service_cached", "min_speedup")] == (">=", 2.0)
+        assert limits[("durability", "worst_recovery_s")] == ("<=", 10.0)
+        assert limits[("durability", "cycles")] == (">=", 20)
+        assert limits[("autoscale", "warm_start_ratio")] == ("<=", 0.5)
+        assert limits[("autoscale", "hot_p99_ratio")] == ("<=", 1.5)
+        assert (gate.TOLERANCE, gate.NOISE_FLOOR_MS) == (2.0, 0.5)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("case", INVARIANTS, ids=_invariant_id)
+    def test_false_fails(self, case):
+        section_name, name = case
+        section = _healthy_section(section_name)
+        section["invariants"][name] = False
+        assert not _verdict(section_name, section, name).ok
+
+    @pytest.mark.parametrize("case", INVARIANTS, ids=_invariant_id)
+    def test_missing_counts_as_false(self, case):
+        section_name, name = case
+        section = _healthy_section(section_name)
+        del section["invariants"][name]
+        assert not _verdict(section_name, section, name).ok
+
+    @pytest.mark.parametrize("case", INVARIANTS, ids=_invariant_id)
+    def test_a_broken_invariant_makes_the_gate_exit_one(self, case, tmp_path, capsys):
+        section_name, name = case
+        baseline = _healthy_report()
+        baseline[section_name]["invariants"][name] = False
+        assert _main(tmp_path, baseline, _healthy_report()) == 1
+        assert f"baseline.{section_name}.{name}" in capsys.readouterr().err
+
+    def test_any_recorded_invariant_must_hold(self):
+        section = {"meta": {}, "invariants": {"new_claim": False}, "numbers": {}}
+        assert not _verdict("service", section, "new_claim").ok
+
+
+TOLERANCE_IDS = [f"{section}.{metric}" for section, _, metric, _ in gate.TOLERANCES]
+
+
+def _timed(section, group, metric, **values):
+    return {section: {group: {entry: {metric: value} for entry, value in values.items()}}}
+
+
+class TestTolerance:
+    @pytest.fixture(params=gate.TOLERANCES, ids=TOLERANCE_IDS)
+    def entry(self, request):
+        section, group, metric, floor = request.param
+
+        def verdicts(baseline, fresh):
+            return {
+                v.name: v
+                for v in gate.compare(
+                    _timed(section, group, metric, **baseline),
+                    _timed(section, group, metric, **fresh),
+                )
+            }
+
+        return verdicts, f"{section}.{{}}.{metric}", floor
+
+    def test_within_tolerance_passes(self, entry):
+        verdicts, name, floor = entry
+        assert verdicts({"a": 10 * floor}, {"a": 20 * floor})[name.format("a")].ok
+
+    def test_beyond_tolerance_fails(self, entry):
+        verdicts, name, floor = entry
+        verdict = verdicts({"a": 10 * floor}, {"a": 25 * floor})[name.format("a")]
+        assert not verdict.ok
+        assert "exceeds" in verdict.note
+
+    def test_a_committed_entry_missing_from_the_fresh_report_fails(self, entry):
+        verdicts, name, floor = entry
+        verdict = verdicts({"gone": 10 * floor, "a": floor}, {"a": floor})[name.format("gone")]
+        assert not verdict.ok
+        assert "missing" in verdict.note
+
+    def test_a_fresh_only_entry_passes(self, entry):
+        verdicts, name, floor = entry
+        verdict = verdicts({}, {"new": floor})[name.format("new")]
         assert verdict.ok
         assert "no baseline" in verdict.note
 
-    def test_noise_floor_suppresses_micro_ratios(self, gate):
-        # 0.01ms -> 0.04ms is 4x but both sides are timer noise.
-        verdicts = gate.compare_reports(
-            _report(micro=0.01), _report(micro=0.04), tolerance=2.0
-        )
-        (verdict,) = verdicts
+    def test_the_noise_floor_suppresses_micro_ratios(self, entry):
+        verdicts, name, floor = entry
+        verdict = verdicts({"a": floor / 50}, {"a": floor / 12})[name.format("a")]
         assert verdict.ok
         assert "noise floor" in verdict.note
 
-    def test_noise_floor_does_not_mask_real_blowups(self, gate):
-        # A micro benchmark that climbs above the floor is judged by ratio.
-        verdicts = gate.compare_reports(
-            _report(micro=0.01), _report(micro=5.0), tolerance=2.0
-        )
-        (verdict,) = verdicts
-        assert not verdict.ok
-
-    def test_bad_tolerance_rejected(self, gate):
-        with pytest.raises(ValueError):
-            gate.compare_reports(_report(), _report(), tolerance=0.0)
+    def test_the_noise_floor_does_not_mask_real_blowups(self, entry):
+        verdicts, name, floor = entry
+        assert not verdicts({"a": floor / 50}, {"a": floor * 10})[name.format("a")].ok
 
 
-class TestCompareServiceSections:
-    def test_within_tolerance_pass(self, gate):
-        verdicts = gate.compare_service_sections(
-            _service_report(clients_8=(60.0, 130.0)),
-            _service_report(clients_8=(20.0, 90.0)),
-            tolerance=2.0,
-        )
-        assert len(verdicts) == 2  # p50 + p99
-        assert {v.name for v in verdicts} == {
-            "service.clients_8.p50_ms",
-            "service.clients_8.p99_ms",
-        }
-        assert all(v.ok for v in verdicts)
-
-    def test_latency_blowup_fails(self, gate):
-        verdicts = gate.compare_service_sections(
-            _service_report(clients_8=(60.0, 130.0)),
-            _service_report(clients_8=(200.0, 130.0)),
-            tolerance=2.0,
-        )
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name["service.clients_8.p50_ms"].ok
-        assert by_name["service.clients_8.p99_ms"].ok
-
-    def test_missing_level_fails(self, gate):
-        verdicts = gate.compare_service_sections(
-            _service_report(clients_8=(60.0, 130.0), clients_32=(230.0, 480.0)),
-            _service_report(clients_8=(50.0, 100.0)),
-            tolerance=2.0,
-        )
-        missing = [v for v in verdicts if not v.ok]
-        assert {v.name for v in missing} == {
-            "service.clients_32.p50_ms",
-            "service.clients_32.p99_ms",
-        }
-        assert all("missing" in v.note for v in missing)
-
-    def test_fresh_only_level_passes(self, gate):
-        verdicts = gate.compare_service_sections(
-            _service_report(),
-            _service_report(clients_8=(50.0, 100.0)),
-            tolerance=2.0,
-        )
-        assert verdicts and all(v.ok for v in verdicts)
-        assert all("no baseline" in v.note for v in verdicts)
-
-    def test_noise_floor_applies(self, gate):
-        verdicts = gate.compare_service_sections(
-            _service_report(clients_1=(0.01, 0.02)),
-            _service_report(clients_1=(0.04, 0.08)),  # 4x but timer noise
-            tolerance=2.0,
-        )
-        assert all(v.ok for v in verdicts)
-        assert all("noise floor" in v.note for v in verdicts)
-
-    def test_no_service_sections_is_empty(self, gate):
-        assert gate.compare_service_sections({}, {}, tolerance=2.0) == []
-
-    def test_committed_baseline_service_section_gates_itself(self, gate):
-        baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        verdicts = gate.compare_service_sections(baseline, baseline, tolerance=2.0)
-        assert verdicts and all(v.ok for v in verdicts)
-
-
-class TestMain:
-    def _write(self, path, report):
-        path.write_text(json.dumps(report))
-        return path
-
-    def test_exit_zero_on_pass(self, gate, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", _report(a=10.0))
-        fresh = self._write(tmp_path / "fresh.json", _report(a=11.0))
-        code = gate.main(["--baseline", str(baseline), "--fresh", str(fresh)])
-        assert code == 0
+class TestSections:
+    def test_a_healthy_report_passes(self, tmp_path, capsys):
+        assert _main(tmp_path, _healthy_report(), _healthy_report()) == 0
         assert "regression gate: ok" in capsys.readouterr().out
 
-    def test_exit_one_on_regression(self, gate, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", _report(a=10.0))
-        fresh = self._write(tmp_path / "fresh.json", _report(a=100.0))
-        code = gate.main(["--baseline", str(baseline), "--fresh", str(fresh)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "FAIL" in captured.err
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_a_baseline_section_missing_from_the_fresh_report_fails(self, name, tmp_path, capsys):
+        fresh = _healthy_report()
+        del fresh[name]
+        assert _main(tmp_path, _healthy_report(), fresh) == 1
+        assert f"fresh.{name}" in capsys.readouterr().err
 
-    def test_tolerance_flag(self, gate, tmp_path):
-        baseline = self._write(tmp_path / "base.json", _report(a=10.0))
-        fresh = self._write(tmp_path / "fresh.json", _report(a=100.0))
-        code = gate.main(
-            ["--baseline", str(baseline), "--fresh", str(fresh), "--tolerance", "20"]
-        )
-        assert code == 0
-
-    def test_fresh_service_flag_gates_service_levels(self, gate, tmp_path, capsys):
-        baseline = {
-            **_report(a=10.0),
-            **_service_report(clients_8=(60.0, 130.0)),
+    def test_only_the_baseline_and_the_fresh_report_are_flags(self):
+        options = {
+            option for action in gate.build_parser()._actions for option in action.option_strings
         }
-        fresh_service = _service_report(clients_8=(500.0, 130.0))  # p50 blowup
-        baseline_path = self._write(tmp_path / "base.json", baseline)
-        fresh_path = self._write(tmp_path / "fresh.json", _report(a=10.0))
-        service_path = self._write(tmp_path / "service.json", fresh_service)
-        code = gate.main(
-            [
-                "--baseline", str(baseline_path),
-                "--fresh", str(fresh_path),
-                "--fresh-service", str(service_path),
-            ]
-        )
-        assert code == 1
-        assert "service.clients_8.p50_ms" in capsys.readouterr().out
-
-    def test_against_committed_baseline_layout(self, gate):
-        """The committed BENCH_substrate.json parses in the expected layout."""
-        baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        assert "benchmarks" in baseline
-        # The service section added by bench_service.py must not confuse the gate.
-        verdicts = gate.compare_reports(baseline, baseline, tolerance=2.0)
-        assert verdicts and all(v.ok for v in verdicts)
-        assert "service" in baseline  # serving numbers landed next to the means
+        assert options == {"-h", "--help", "--baseline", "--fresh"}
 
 
-class TestColdBootGate:
-    def test_ratio_above_floor_passes(self, gate):
-        (verdict,) = gate.check_cold_boot(
-            _report(cold_boot_nt=100.0, cold_boot_binary=20.0), min_ratio=1.3
-        )
-        assert verdict.ok
-        assert verdict.ratio == pytest.approx(5.0)
+class TestCommittedBaseline:
+    def test_the_committed_baseline_passes(self, capsys):
+        assert gate.main(["--baseline", str(COMMITTED), "--fresh", str(COMMITTED)]) == 0
 
-    def test_ratio_below_floor_fails(self, gate):
-        (verdict,) = gate.check_cold_boot(
-            _report(cold_boot_nt=100.0, cold_boot_binary=90.0), min_ratio=1.3
-        )
-        assert not verdict.ok
-        assert "floor" in verdict.note
+    def test_every_section_has_the_one_shape(self):
+        for name, section in json.loads(COMMITTED.read_text()).items():
+            assert {"meta", "invariants", "numbers"} <= set(section), name
+            for row in ROWS:
+                if row.section == name:
+                    assert row.number in section["numbers"], (name, row.number)
 
-    def test_both_missing_yields_no_verdict(self, gate):
-        assert gate.check_cold_boot(_report(other=1.0), min_ratio=1.3) == []
+    @pytest.mark.parametrize("case", INVARIANTS, ids=_invariant_id)
+    def test_a_broken_committed_invariant_fails(self, case, tmp_path, capsys):
+        section_name, name = case
+        committed = json.loads(COMMITTED.read_text())
+        assert committed[section_name]["invariants"][name] is True
+        committed[section_name]["invariants"][name] = False
+        assert _main(tmp_path, committed, json.loads(COMMITTED.read_text())) == 1
+        assert f"baseline.{section_name}.{name}" in capsys.readouterr().err
 
-    def test_one_side_missing_fails(self, gate):
-        (verdict,) = gate.check_cold_boot(
-            _report(cold_boot_nt=100.0), min_ratio=1.3
-        )
-        assert not verdict.ok
-        assert "missing" in verdict.note
-
-    def test_invalid_floor_rejected(self, gate):
-        with pytest.raises(ValueError):
-            gate.check_cold_boot(_report(), min_ratio=0.0)
-
-    def test_main_wires_the_gate(self, gate, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        fresh = tmp_path / "fresh.json"
-        report = _report(cold_boot_nt=100.0, cold_boot_binary=90.0)
-        baseline.write_text(json.dumps(report))
-        fresh.write_text(json.dumps(report))
-        code = gate.main(["--baseline", str(baseline), "--fresh", str(fresh)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "cold_boot_speedup" in out
-        # A higher ratio or an explicit lower floor passes.
-        assert gate.main(
-            ["--baseline", str(baseline), "--fresh", str(fresh),
-             "--cold-boot-min-ratio", "1.05"]
-        ) == 0
-
-
-def _durability_report(**overrides):
-    """A bench_durability-shaped report, healthy unless overridden."""
-    section = {
-        "meta": {"quick": False},
-        "cycles": 24,
-        "zero_loss": True,
-        "log_bounded": True,
-        "responses_bit_identical": True,
-        "recovery": {"mean_s": 0.01, "max_s": 0.05, "budget_s": 10.0},
-    }
-    section.update(overrides)
-    return {"durability": section}
-
-
-class TestDurabilityGate:
-    def test_absent_section_yields_no_verdicts(self, gate):
-        assert gate.check_durability({}) == []
-
-    def test_healthy_full_soak_passes(self, gate):
-        verdicts = gate.check_durability(_durability_report())
-        assert {v.name for v in verdicts} == {
-            "durability.zero_loss",
-            "durability.log_bounded",
-            "durability.responses_bit_identical",
-            "durability.recovery",
-            "durability.cycles",
-        }
-        assert all(v.ok for v in verdicts)
-
-    @pytest.mark.parametrize(
-        "flag", ["zero_loss", "log_bounded", "responses_bit_identical"]
-    )
-    def test_any_false_invariant_fails(self, gate, flag):
-        verdicts = gate.check_durability(_durability_report(**{flag: False}))
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name[f"durability.{flag}"].ok
-        assert f"{flag}=False" in by_name[f"durability.{flag}"].note
-
-    def test_missing_invariant_fails_like_false(self, gate):
-        report = _durability_report()
-        del report["durability"]["zero_loss"]
-        by_name = {v.name: v for v in gate.check_durability(report)}
-        assert not by_name["durability.zero_loss"].ok
-
-    def test_recovery_over_budget_fails(self, gate):
-        verdicts = gate.check_durability(
-            _durability_report(recovery={"max_s": 11.0, "budget_s": 10.0})
-        )
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name["durability.recovery"].ok
-        assert "over" in by_name["durability.recovery"].note
-
-    def test_recovery_without_numbers_fails(self, gate):
-        verdicts = gate.check_durability(_durability_report(recovery={}))
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name["durability.recovery"].ok
-
-    def test_shrunk_soak_fails_unless_quick(self, gate):
-        by_name = {
-            v.name: v for v in gate.check_durability(_durability_report(cycles=6))
-        }
-        assert not by_name["durability.cycles"].ok
-        quick = gate.check_durability(
-            _durability_report(cycles=6, meta={"quick": True})
-        )
-        assert all(v.ok for v in quick)
-
-    def test_label_prefixes_every_verdict(self, gate):
-        verdicts = gate.check_durability(
-            _durability_report(), label="fresh.durability"
-        )
-        assert all(v.name.startswith("fresh.durability.") for v in verdicts)
-
-    def test_committed_baseline_durability_section_gates_itself(self, gate):
-        baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        verdicts = gate.check_durability(baseline)
-        assert verdicts and all(v.ok for v in verdicts)
-
-    def test_main_always_gates_the_baseline_durability_section(
-        self, gate, tmp_path, capsys
-    ):
-        baseline = {**_report(a=10.0), **_durability_report(zero_loss=False)}
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(baseline))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        code = gate.main(
-            ["--baseline", str(baseline_path), "--fresh", str(fresh_path)]
-        )
-        assert code == 1
-        assert "durability.zero_loss" in capsys.readouterr().out
-
-    def test_fresh_durability_flag(self, gate, tmp_path, capsys):
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(_report(a=10.0)))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        soak_path = tmp_path / "soak.json"
-        soak_path.write_text(
-            json.dumps(_durability_report(log_bounded=False, meta={"quick": True}))
-        )
-        code = gate.main(
-            [
-                "--baseline", str(baseline_path),
-                "--fresh", str(fresh_path),
-                "--fresh-durability", str(soak_path),
-            ]
-        )
-        assert code == 1
-        assert "fresh.durability.log_bounded" in capsys.readouterr().out
-
-
-def _http_report(bit_identical=True, threads_half=7, **overrides):
-    idle = {
-        "connections_half": 120,
-        "threads_half": threads_half,
-        "connections": 240,
-        "threads": 7,
-    }
-    idle.update(overrides.pop("idle", {}))
-    section = {
-        "meta": {"transport": "http"},
-        "levels": {},
-        "idle_keepalive": idle,
-        "responses_bit_identical": bit_identical,
-    }
-    section.update(overrides)
-    return {"service_http": section}
-
-
-class TestAsyncGate:
-    """``check_async`` gates the asyncio front-end's ``service_http`` section."""
-
-    def test_absent_section_yields_no_verdicts(self, gate):
-        assert gate.check_async(_report(a=10.0)) == []
-
-    def test_healthy_section_passes(self, gate):
-        verdicts = gate.check_async(_http_report())
-        assert [v.name for v in verdicts] == [
-            "service_http.bit_identical", "service_http.idle_threads",
-        ]
-        assert all(v.ok for v in verdicts)
-
-    def test_bit_identity_false_fails(self, gate):
-        verdicts = gate.check_async(_http_report(bit_identical=False))
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name["service_http.bit_identical"].ok
-
-    def test_missing_bit_identity_fails_like_false(self, gate):
-        report = _http_report()
-        del report["service_http"]["responses_bit_identical"]
-        by_name = {v.name: v for v in gate.check_async(report)}
-        assert not by_name["service_http.bit_identical"].ok
-
-    def test_thread_growth_fails(self, gate):
-        verdicts = gate.check_async(_http_report(threads_half=6))
-        by_name = {v.name: v for v in verdicts}
-        assert not by_name["service_http.idle_threads"].ok
-
-    def test_too_few_idle_connections_fails(self, gate):
-        def idle_ok(connections):
-            report = _http_report(
-                idle={"connections_half": connections // 2, "connections": connections}
-            )
-            return {v.name: v for v in gate.check_async(report)}[
-                "service_http.idle_threads"
-            ].ok
-
-        assert gate.HTTP_MIN_IDLE_CONNECTIONS == 240
-        assert not idle_ok(239)
-        assert idle_ok(240)
-
-    def test_missing_idle_block_fails(self, gate):
-        report = _http_report()
-        del report["service_http"]["idle_keepalive"]
-        by_name = {v.name: v for v in gate.check_async(report)}
-        assert not by_name["service_http.idle_threads"].ok
-
-    def test_invalid_floor_rejected(self, gate):
-        # The N/2 reference count is the comparison's floor: comparing N
-        # idle connections with N (or with none) would pass vacuously.
-        for half in (240, 0):
-            report = _http_report(idle={"connections_half": half})
-            by_name = {v.name: v for v in gate.check_async(report)}
-            assert not by_name["service_http.idle_threads"].ok
-
-    def test_main_always_gates_the_baseline_async_section(
-        self, gate, tmp_path, capsys
-    ):
-        baseline = {**_report(a=10.0), **_http_report(bit_identical=False)}
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(baseline))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        code = gate.main(
-            ["--baseline", str(baseline_path), "--fresh", str(fresh_path)]
-        )
-        assert code == 1
-        assert "service_http.bit_identical" in capsys.readouterr().out
-
-    def test_committed_baseline_async_section_gates_itself(self, gate):
-        baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        verdicts = gate.check_async(baseline)
-        assert verdicts and all(v.ok for v in verdicts)
-
-
-def _cache_report(bit_identical=True, speedup=50.0, misses_after=None, **overrides):
-    hit_path = {
-        "misses_before": 12,
-        "misses_after": 12 if misses_after is None else misses_after,
-        "hits": 200,
-        "requests": 200,
-        "engine_free": misses_after is None,
-    }
-    hit_path.update(overrides.pop("hit_path", {}))
-    section = {
-        "meta": {"transport": "python-api", "cache_entries": 4096},
-        "levels": {},
-        "hit_path": hit_path,
-        "speedup": speedup,
-        "responses_bit_identical": bit_identical,
-    }
-    section.update(overrides)
-    return {"service_cached": section}
-
-
-class TestCacheGate:
-    def test_absent_section_yields_no_verdicts(self, gate):
-        assert gate.check_cache(_report(a=10.0)) == []
-
-    def test_healthy_section_passes(self, gate):
-        verdicts = gate.check_cache(_cache_report())
-        assert [v.name for v in verdicts] == [
-            "service_cached.bit_identical",
-            "service_cached.engine_free",
-            "service_cached.speedup",
-        ]
-        assert all(v.ok for v in verdicts)
-
-    def test_bit_identity_false_fails(self, gate):
-        by_name = {
-            v.name: v for v in gate.check_cache(_cache_report(bit_identical=False))
-        }
-        assert not by_name["service_cached.bit_identical"].ok
-
-    def test_missing_bit_identity_fails_like_false(self, gate):
-        report = _cache_report()
-        del report["service_cached"]["responses_bit_identical"]
-        by_name = {v.name: v for v in gate.check_cache(report)}
-        assert not by_name["service_cached.bit_identical"].ok
-
-    def test_grown_miss_counter_fails(self, gate):
-        # The warm hammer invoked the engine: the cache stopped caching.
-        by_name = {
-            v.name: v for v in gate.check_cache(_cache_report(misses_after=13))
-        }
-        assert not by_name["service_cached.engine_free"].ok
-
-    def test_missing_hit_path_counters_fail(self, gate):
-        report = _cache_report()
-        del report["service_cached"]["hit_path"]["misses_after"]
-        by_name = {v.name: v for v in gate.check_cache(report)}
-        assert not by_name["service_cached.engine_free"].ok
-
-    def test_speedup_below_floor_fails(self, gate):
-        by_name = {v.name: v for v in gate.check_cache(_cache_report(speedup=1.9))}
-        assert not by_name["service_cached.speedup"].ok
-
-    def test_speedup_exactly_at_floor_passes(self, gate):
-        by_name = {v.name: v for v in gate.check_cache(_cache_report(speedup=2.0))}
-        assert by_name["service_cached.speedup"].ok
-
-    def test_missing_speedup_fails(self, gate):
-        report = _cache_report()
-        del report["service_cached"]["speedup"]
-        by_name = {v.name: v for v in gate.check_cache(report)}
-        assert not by_name["service_cached.speedup"].ok
-
-    def test_invalid_floor_rejected(self, gate):
-        with pytest.raises(ValueError):
-            gate.check_cache(_cache_report(), min_speedup=0)
-
-    def test_main_always_gates_the_baseline_cache_section(
-        self, gate, tmp_path, capsys
-    ):
-        baseline = {**_report(a=10.0), **_cache_report(bit_identical=False)}
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(baseline))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        code = gate.main(
-            ["--baseline", str(baseline_path), "--fresh", str(fresh_path)]
-        )
-        assert code == 1
-        assert "service_cached.bit_identical" in capsys.readouterr().out
-
-    def test_fresh_cache_flag(self, gate, tmp_path, capsys):
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps(_report(a=10.0)))
-        fresh_path = tmp_path / "fresh.json"
-        fresh_path.write_text(json.dumps(_report(a=10.0)))
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text(json.dumps(_cache_report(speedup=1.1)))
-        code = gate.main(
-            [
-                "--baseline", str(baseline_path),
-                "--fresh", str(fresh_path),
-                "--fresh-cache", str(cache_path),
-            ]
-        )
-        assert code == 1
-        assert "fresh.service_cached.speedup" in capsys.readouterr().out
-
-    def test_committed_baseline_cache_section_gates_itself(self, gate):
-        baseline = json.loads((ROOT / "BENCH_substrate.json").read_text())
-        if "service_cached" not in baseline:
-            pytest.skip("baseline has no service_cached section yet")
-        verdicts = gate.check_cache(baseline)
-        assert verdicts and all(v.ok for v in verdicts)
+    def test_single_core_sections_skip_their_multi_core_rows(self):
+        committed = json.loads(COMMITTED.read_text())
+        for section_name, number in (
+            ("service_replicated", "top_speedup"), ("autoscale", "hot_p99_ratio"),
+        ):
+            section = committed[section_name]
+            assert section["meta"]["cpu_count"] == 1
+            verdict = _verdict(section_name, section, number)
+            assert verdict.ok and "more than one core" in verdict.note

@@ -3,13 +3,17 @@
 The docs are part of the deployment contract, so CI treats them like
 code: every relative link and file pointer must resolve (including the
 root documents code, benchmarks and tests name), every serve flag must
-appear in the operator manual, the frozen /stats field list in
-the API reference must match the live payload, and the README quickstart
-must be the exact command sequence the docs CI job executes.
+appear in the operator manual, every bench command shown must parse with
+its script's own parser, the frozen /stats field list in the API
+reference must match the live payload, and the README quickstart must be
+the exact command sequence the docs CI job executes.
 """
 
 import argparse
+import importlib
 import re
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,15 @@ _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _ROOT_DOC = re.compile(r"(?<![\w/.-])([A-Z][A-Z0-9_-]*\.md)\b")
 _BACKTICK = re.compile(r"`([^`\n]+)`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: A shown bench command: its environment prefix, its script and its
+#: arguments (up to a comment, a closing backtick or the line's end).
+_BENCH_COMMAND = re.compile(r"((?:\w+=\S+ )*)python3? benchmarks/(\w+)\.py([^\n`#]*)")
+#: The README, the operator manual and the repository's verify-skill notes.
+BENCH_COMMAND_DOCS = [
+    ROOT / "README.md",
+    ROOT / "docs" / "operations.md",
+    *sorted(ROOT.glob(".*/skills/verify/SKILL.md")),
+]
 
 
 def _slug(heading):
@@ -128,6 +141,29 @@ class TestOperationsManual:
     def test_durability_contract_present(self):
         manual = (ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
         assert "never lost" in manual  # the acked-commit guarantee, verbatim
+
+
+class TestBenchCommands:
+    def test_every_shown_bench_command_parses(self):
+        sys.path.insert(0, str(ROOT / "benchmarks"))
+        try:
+            commands = [
+                (doc.name, *match.groups())
+                for doc in BENCH_COMMAND_DOCS
+                for match in _BENCH_COMMAND.finditer(doc.read_text(encoding="utf-8"))
+            ]
+            assert len(BENCH_COMMAND_DOCS) == 3 and commands
+            broken = []
+            for doc, prefix, script, args in commands:
+                if "PYTHONPATH=src" not in prefix.split():
+                    broken.append(f"{doc}: {script} runs without PYTHONPATH=src")
+                try:
+                    importlib.import_module(script).build_parser().parse_args(shlex.split(args))
+                except SystemExit:
+                    broken.append(f"{doc}: {script}.py{args}")
+        finally:
+            sys.path.remove(str(ROOT / "benchmarks"))
+        assert not broken, f"bench commands that do not parse: {broken}"
 
 
 class TestApiReference:
